@@ -22,17 +22,8 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 
-from chromaconn import (
-    Pattern,
-    connected_graphs_up_to,
-    connection_number,
-    diameter,
-    disconnection_number,
-    proper_rainbow_connection_number,
-    write_graph6,
-)
-
-COLUMNS = ("rc", "pc", "mc", "cfc", "rd", "pd", "md", "prc")
+from chromaconn import connected_graphs_up_to, diameter, write_graph6
+from chromaconn.cli import TABLE_COLUMNS
 
 
 @dataclass(frozen=True)
@@ -56,25 +47,11 @@ def parse_config(argv=None) -> Config:
 
 
 def invariant_row(graph, budget):
-    conn = {p: connection_number(graph, p, budget=budget).value for p in Pattern}
-    disc = {
-        p: disconnection_number(graph, p, budget=budget).value
-        for p in (Pattern.RAINBOW, Pattern.PROPER, Pattern.MONOCHROMATIC)
-    }
-    return {
-        "graph": write_graph6(graph),
-        "n": graph.n,
-        "m": graph.m,
-        "rc": conn[Pattern.RAINBOW],
-        "pc": conn[Pattern.PROPER],
-        "mc": conn[Pattern.MONOCHROMATIC],
-        "cfc": conn[Pattern.CONFLICT_FREE],
-        "rd": disc[Pattern.RAINBOW],
-        "pd": disc[Pattern.PROPER],
-        "md": disc[Pattern.MONOCHROMATIC],
-        "prc": proper_rainbow_connection_number(graph, budget=budget).value,
-        "diameter": diameter(graph),
-    }
+    row = {"graph": write_graph6(graph), "n": graph.n, "m": graph.m}
+    for col, solve in TABLE_COLUMNS.items():
+        row[col] = solve(graph, budget=budget).value
+    row["diameter"] = diameter(graph)
+    return row
 
 
 def summarize(rows):
@@ -89,7 +66,7 @@ def summarize(rows):
         "proper_below_rainbow": sum(1 for r in multi if r["pc"] < r["rc"]),
         "distributions": {
             col: dict(sorted(Counter(r[col] for r in multi).items()))
-            for col in COLUMNS
+            for col in TABLE_COLUMNS
         },
         "extremal": {
             col: {
@@ -97,14 +74,14 @@ def summarize(rows):
                 "graphs": [r["graph"] for r in multi
                            if r[col] == max(x[col] for x in multi)],
             }
-            for col in COLUMNS
+            for col in TABLE_COLUMNS
         },
     }
     return summary
 
 
 def print_text(rows, summary, out):
-    headers = ("graph", "n", "m", *COLUMNS, "diameter")
+    headers = ("graph", "n", "m", *TABLE_COLUMNS, "diameter")
     table = [headers] + [tuple(str(r[h]) for h in headers) for r in rows]
     widths = [max(len(row[i]) for row in table) for i in range(len(headers))]
     for row in table:
@@ -125,7 +102,7 @@ def print_text(rows, summary, out):
         f"proper value strictly below rainbow on "
         f"{summary['proper_below_rainbow']} graphs\n"
     )
-    for col in COLUMNS:
+    for col in TABLE_COLUMNS:
         dist = summary["distributions"][col]
         ext = summary["extremal"][col]
         body = ", ".join(f"{v}x{c}" for v, c in dist.items())

@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from typing import Iterator, Optional
 
 from .coloring import EdgeColoring, Pattern
@@ -55,7 +56,18 @@ EXIT_BUDGET = 2
 PATTERN_CHOICES = ("rainbow", "proper", "monochromatic", "conflict-free",
                    "proper-rainbow")
 
-_TABLE_COLUMNS = ("rc", "pc", "mc", "cfc", "rd", "pd", "md", "prc")
+# the eight invariants of `chromaconn table`, in column order; each is
+# called as solve(graph, budget=budget)
+TABLE_COLUMNS = {
+    "rc": partial(connection_number, pattern=Pattern.RAINBOW),
+    "pc": partial(connection_number, pattern=Pattern.PROPER),
+    "mc": partial(connection_number, pattern=Pattern.MONOCHROMATIC),
+    "cfc": partial(connection_number, pattern=Pattern.CONFLICT_FREE),
+    "rd": partial(disconnection_number, pattern=Pattern.RAINBOW),
+    "pd": partial(disconnection_number, pattern=Pattern.PROPER),
+    "md": partial(disconnection_number, pattern=Pattern.MONOCHROMATIC),
+    "prc": proper_rainbow_connection_number,
+}
 
 
 class _Status:
@@ -276,6 +288,9 @@ def _cmd_verify(args) -> int:
             for field in ("graph", "coloring", "certificate"):
                 if field not in record:
                     raise ValueError(f"record missing field {field!r}")
+            for field in ("graph", "coloring"):
+                if not isinstance(record[field], str):
+                    raise ValueError(f"field {field!r} must be a string")
             graph = _parse_line_graph(record["graph"])
             coloring = EdgeColoring.from_text(record["coloring"]) \
                 if record["coloring"] else EdgeColoring((), 0)
@@ -327,24 +342,9 @@ def _cmd_count(args) -> int:
 def _table_row(graph, budget):
     row = {}
     exhausted = []
-    columns = [
-        ("rc", lambda: connection_number(graph, Pattern.RAINBOW, budget=budget)),
-        ("pc", lambda: connection_number(graph, Pattern.PROPER, budget=budget)),
-        ("mc", lambda: connection_number(graph, Pattern.MONOCHROMATIC,
-                                         budget=budget)),
-        ("cfc", lambda: connection_number(graph, Pattern.CONFLICT_FREE,
-                                          budget=budget)),
-        ("rd", lambda: disconnection_number(graph, Pattern.RAINBOW,
-                                            budget=budget)),
-        ("pd", lambda: disconnection_number(graph, Pattern.PROPER,
-                                            budget=budget)),
-        ("md", lambda: disconnection_number(graph, Pattern.MONOCHROMATIC,
-                                            budget=budget)),
-        ("prc", lambda: proper_rainbow_connection_number(graph, budget=budget)),
-    ]
-    for name, run in columns:
+    for name, solve in TABLE_COLUMNS.items():
         try:
-            row[name] = run().value
+            row[name] = solve(graph, budget=budget).value
         except BudgetExceededError:
             row[name] = None
             exhausted.append(name)
@@ -367,7 +367,7 @@ def _cmd_table(args) -> int:
         g6 = write_graph6(graph)
         if args.format == "json":
             record = {"graph": g6}
-            record.update({c: row[c] for c in _TABLE_COLUMNS})
+            record.update(row)
             record["exhausted"] = exhausted
             _emit_json(record)
         else:
@@ -378,11 +378,11 @@ def _cmd_table(args) -> int:
 
 
 def _print_text_table(rows):
-    header = ("graph",) + _TABLE_COLUMNS
+    header = ("graph", *TABLE_COLUMNS)
     cells = [header]
     for g6, row in rows:
         cells.append((g6,) + tuple(
-            "?" if row[c] is None else str(row[c]) for c in _TABLE_COLUMNS))
+            "?" if v is None else str(v) for v in row.values()))
     widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
     for r in cells:
         print("  ".join(r[i].ljust(widths[i])

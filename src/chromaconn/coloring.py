@@ -124,39 +124,13 @@ class PathSearch:
             return Path((u,), ())
         if pattern is Pattern.MONOCHROMATIC:
             return self._find_mono(colors, u, v)
-        verts, eidx = [u], []
-        found = self._dfs(colors, u, v, pattern, 1 << u, verts, eidx)
-        if not found:
-            return None
-        return Path(tuple(verts), tuple(eidx))
+        out = []
+        self._walk(colors, u, v, pattern, 1 << u, [u], [], out, True)
+        return out[0] if out else None
 
     def exists(self, colors: Sequence, u: int, v: int,
                pattern: Pattern) -> bool:
         return self.find(colors, u, v, pattern) is not None
-
-    def _dfs(self, colors, x, v, pattern, visited, verts, eidx) -> bool:
-        for y, e in self.adj[x]:
-            if visited & (1 << y):
-                continue
-            c = colors[e]
-            if pattern is Pattern.RAINBOW:
-                if any(colors[f] == c for f in eidx):
-                    continue
-            elif pattern is Pattern.PROPER:
-                if eidx and colors[eidx[-1]] == c:
-                    continue
-            verts.append(y)
-            eidx.append(e)
-            if y == v:
-                if pattern is not Pattern.CONFLICT_FREE or _seq_satisfies(
-                    [colors[f] for f in eidx], Pattern.CONFLICT_FREE
-                ):
-                    return True
-            elif self._dfs(colors, y, v, pattern, visited | (1 << y), verts, eidx):
-                return True
-            verts.pop()
-            eidx.pop()
-        return False
 
     def _find_mono(self, colors, u, v) -> Optional[Path]:
         for c in sorted(set(colors)):
@@ -180,10 +154,14 @@ class PathSearch:
                           pattern: Pattern):
         """Every simple u-v path satisfying the pattern, in search order."""
         out = []
-        self._collect(colors, u, v, pattern, 1 << u, [u], [], out)
+        self._walk(colors, u, v, pattern, 1 << u, [u], [], out, False)
         return out
 
-    def _collect(self, colors, x, v, pattern, visited, verts, eidx, out):
+    def _walk(self, colors, x, v, pattern, visited, verts, eidx, out,
+              first) -> bool:
+        """Depth-first extension of the simple path verts (edges eidx) that
+        ends at x; appends each pattern path reaching v to out.  With first
+        set, stops at the first one and returns True."""
         for y, e in self.adj[x]:
             if visited & (1 << y):
                 continue
@@ -204,11 +182,14 @@ class PathSearch:
                     [colors[f] for f in eidx], Pattern.CONFLICT_FREE
                 ):
                     out.append(Path(tuple(verts), tuple(eidx)))
-            else:
-                self._collect(colors, y, v, pattern, visited | (1 << y),
-                              verts, eidx, out)
+                    if first:
+                        return True
+            elif self._walk(colors, y, v, pattern, visited | (1 << y),
+                            verts, eidx, out, first):
+                return True
             verts.pop()
             eidx.pop()
+        return False
 
 
 def exists_pattern_path(graph: Graph, coloring: EdgeColoring, u: int, v: int,

@@ -434,16 +434,15 @@ def delete_edge(graph: Graph, edge) -> Graph:
     return Graph(graph.n, graph.edges[:i] + graph.edges[i + 1:])
 
 
-def contract_edge(graph: Graph, edge) -> Graph:
-    """Merge the endpoints of one edge, drop loops/parallels, renumber.
+def identify_vertices(graph: Graph, u: int, v: int) -> Graph:
+    """Merge vertices u and v into one, drop loops/parallels, renumber.
 
-    The higher endpoint is folded into the lower one and vertices above it
+    The higher vertex is folded into the lower one and vertices above it
     shift down, so the result is canonical.
     """
-    i = edge if isinstance(edge, int) else graph.edge_index(*edge)
-    if not (0 <= i < graph.m):
-        raise ValueError(f"edge index {i} out of range")
-    a, b = graph.edges[i]
+    if u == v or not (0 <= u < graph.n and 0 <= v < graph.n):
+        raise ValueError("invalid vertex pair")
+    a, b = (u, v) if u < v else (v, u)
 
     def relabel(w):
         if w == b:
@@ -451,13 +450,21 @@ def contract_edge(graph: Graph, edge) -> Graph:
         return w - 1 if w > b else w
 
     edges = set()
-    for j, (x, y) in enumerate(graph.edges):
-        if j == i:
-            continue
+    for (x, y) in graph.edges:
         p, q = relabel(x), relabel(y)
         if p != q:
             edges.add((p, q) if p < q else (q, p))
     return Graph(graph.n - 1, tuple(sorted(edges)))
+
+
+def contract_edge(graph: Graph, edge) -> Graph:
+    """Merge the endpoints of one edge (given as an index or endpoint pair);
+    see identify_vertices.  The contracted edge becomes a loop and is dropped.
+    """
+    i = edge if isinstance(edge, int) else graph.edge_index(*edge)
+    if not (0 <= i < graph.m):
+        raise ValueError(f"edge index {i} out of range")
+    return identify_vertices(graph, *graph.edges[i])
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from .graph import (
     canonical_form,
     contract_edge,
     delete_edge,
+    identify_vertices,
     line_graph,
 )
 
@@ -118,23 +119,6 @@ def _components(graph: Graph):
         yield Graph(len(comp), edges)
 
 
-def _identify(graph: Graph, u: int, v: int) -> Graph:
-    """Merge nonadjacent u and v into one vertex (used by the dense branch)."""
-    a, b = (u, v) if u < v else (v, u)
-
-    def relabel(w):
-        if w == b:
-            w = a
-        return w - 1 if w > b else w
-
-    edges = set()
-    for (x, y) in graph.edges:
-        p, q = relabel(x), relabel(y)
-        if p != q:
-            edges.add((p, q) if p < q else (q, p))
-    return Graph(graph.n - 1, tuple(sorted(edges)))
-
-
 def _add_edge(graph: Graph, u: int, v: int) -> Graph:
     return build_graph(graph.n, list(graph.edges) + [(u, v)])
 
@@ -157,7 +141,8 @@ def _chrom_connected(g: Graph, memo) -> tuple:
         # f(G) = f(G + uv) + f(G with u,v identified)
         u, v = _first_nonedge(g)
         val = _padd(
-            _chrom(_add_edge(g, u, v), memo), _chrom(_identify(g, u, v), memo)
+            _chrom(_add_edge(g, u, v), memo),
+            _chrom(identify_vertices(g, u, v), memo),
         )
     else:
         # f(G) = f(G - e) - f(G . e), contraction merging parallel edges

@@ -5,7 +5,10 @@ each palette size t.  Minimizing patterns scan t upward from a lower bound,
 the maximizing (monochromatic) pattern scans t downward from the edge count;
 the first feasible t is optimal because any coloring with exactly t' distinct
 colors is enumerated at t'.  Within the optimal t the first feasible string in
-lexicographic order is returned, so results are deterministic.
+lexicographic order is returned, so results are deterministic.  All three
+optimizers run this search through one loop, _optimize, and differ only in
+their preconditions, their t-scan and their feasibility test;
+count_colorings enumerates without a t-scan or early exit.
 
 Runtimes are exponential; a budget (number of colorings tested) turns an
 over-large instance into an explicit BudgetExceededError rather than a wrong
@@ -100,10 +103,30 @@ def bounds(graph: Graph, pattern: Pattern, k: int = 1,
     return Bounds(1, m, ("trivial", "edge-count"))
 
 
-def _trivial_result(graph: Graph, pattern_name: str, kind: str,
-                    objective: str, k=None, mode=None) -> SolveResult:
+def _trivial_result(pattern_name: str, kind: str, objective: str,
+                    k=None, mode=None) -> SolveResult:
     cert = Certificate(kind, pattern_name, (), k=k, mode=mode)
     return SolveResult(0, EdgeColoring((), 0), cert, 0, objective)
+
+
+def _optimize(m: int, ts, feasible, make_certificate, objective: str,
+              budget: Optional[int]) -> SolveResult:
+    """The one search loop: the first t in ts, and within it the first
+    canonical string, that passes feasible(colors).
+
+    make_certificate(colors) builds the witnesses of the accepted string.
+    Every tested string counts against the budget.
+    """
+    nodes = 0
+    for t in ts:
+        for colors in restricted_growth_strings(m, t, surjective=True):
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise BudgetExceededError(budget, nodes - 1)
+            if feasible(colors):
+                return SolveResult(t, EdgeColoring(colors, t),
+                                   make_certificate(colors), nodes, objective)
+    raise AssertionError("search space exhausted unexpectedly")
 
 
 def connection_number(graph: Graph, pattern: Pattern, k: int = 1,
@@ -117,38 +140,23 @@ def connection_number(graph: Graph, pattern: Pattern, k: int = 1,
     """
     if not isinstance(pattern, Pattern):
         raise ValueError("pattern must be a Pattern")
-    if not is_connected(graph):
-        raise ValueError("connection numbers require a connected graph")
-    _check_k_connected(graph, k, mode)
-    objective = pattern.objective
-    if graph.n == 1:
-        kind = "connection" if k == 1 else "k_connection"
-        return _trivial_result(graph, pattern.value, kind, objective,
-                               k=None if k == 1 else k,
-                               mode=None if k == 1 else mode)
-    checker = ConnCheck(graph) if k == 1 else KConnCheck(graph, k, mode)
     b = bounds(graph, pattern, k, mode)
+    objective = pattern.objective
+    kind = "connection" if k == 1 else "k_connection"
+    cert_k, cert_mode = (None, None) if k == 1 else (k, mode)
+    if graph.n == 1:
+        return _trivial_result(pattern.value, kind, objective, cert_k,
+                               cert_mode)
+    checker = ConnCheck(graph) if k == 1 else KConnCheck(graph, k, mode)
     m = graph.m
-    if objective == "min":
-        ts = range(max(1, b.lower), m + 1)
-    else:
-        ts = range(m, 0, -1)
-    nodes = 0
-    for t in ts:
-        for colors in restricted_growth_strings(m, t, surjective=True):
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise BudgetExceededError(budget, nodes - 1)
-            if checker.connected(colors, pattern):
-                wit = checker.witnesses(colors, pattern)
-                if k == 1:
-                    cert = Certificate("connection", pattern.value, wit)
-                else:
-                    cert = Certificate("k_connection", pattern.value, wit,
-                                       k=k, mode=mode)
-                return SolveResult(t, EdgeColoring(colors, t), cert, nodes,
-                                   objective)
-    raise AssertionError("search space exhausted unexpectedly")
+    ts = (range(max(1, b.lower), m + 1) if objective == "min"
+          else range(m, 0, -1))
+    return _optimize(
+        m, ts, lambda colors: checker.connected(colors, pattern),
+        lambda colors: Certificate(kind, pattern.value,
+                                   checker.witnesses(colors, pattern),
+                                   k=cert_k, mode=cert_mode),
+        objective, budget)
 
 
 def disconnection_number(graph: Graph, pattern: Pattern,
@@ -165,22 +173,15 @@ def disconnection_number(graph: Graph, pattern: Pattern,
         raise ValueError("disconnection numbers require a connected graph")
     objective = pattern.objective
     if graph.n == 1:
-        return _trivial_result(graph, pattern.value, "disconnection", objective)
+        return _trivial_result(pattern.value, "disconnection", objective)
     checker = DisconnCheck(graph)
     m = graph.m
     ts = range(1, m + 1) if objective == "min" else range(m, 0, -1)
-    nodes = 0
-    for t in ts:
-        for colors in restricted_growth_strings(m, t, surjective=True):
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise BudgetExceededError(budget, nodes - 1)
-            if checker.disconnected(colors, pattern):
-                wit = checker.witnesses(colors, pattern)
-                cert = Certificate("disconnection", pattern.value, wit)
-                return SolveResult(t, EdgeColoring(colors, t), cert, nodes,
-                                   objective)
-    raise AssertionError("search space exhausted unexpectedly")
+    return _optimize(
+        m, ts, lambda colors: checker.disconnected(colors, pattern),
+        lambda colors: Certificate("disconnection", pattern.value,
+                                   checker.witnesses(colors, pattern)),
+        objective, budget)
 
 
 def proper_rainbow_connection_number(graph: Graph,
@@ -190,25 +191,20 @@ def proper_rainbow_connection_number(graph: Graph,
     if not is_connected(graph):
         raise ValueError("connection numbers require a connected graph")
     if graph.n == 1:
-        return _trivial_result(graph, PROPER_RAINBOW, "connection", "min")
+        return _trivial_result(PROPER_RAINBOW, "connection", "min")
     checker = ConnCheck(graph)
     m = graph.m
     maxdeg = max(graph.degree(v) for v in range(graph.n))
     lower = max(1, diameter(graph), maxdeg)
-    nodes = 0
-    for t in range(lower, m + 1):
-        for colors in restricted_growth_strings(m, t, surjective=True):
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise BudgetExceededError(budget, nodes - 1)
-            ec = EdgeColoring(colors, t)
-            if not is_proper_edge_coloring(graph, ec):
-                continue
-            if checker.connected(colors, Pattern.RAINBOW):
-                wit = checker.witnesses(colors, Pattern.RAINBOW)
-                cert = Certificate("connection", PROPER_RAINBOW, wit)
-                return SolveResult(t, ec, cert, nodes, "min")
-    raise AssertionError("search space exhausted unexpectedly")
+    # colors < t <= m, so m is a valid palette for the proper-edge test
+    return _optimize(
+        m, range(lower, m + 1),
+        lambda colors: (
+            is_proper_edge_coloring(graph, EdgeColoring(colors, m))
+            and checker.connected(colors, Pattern.RAINBOW)),
+        lambda colors: Certificate("connection", PROPER_RAINBOW,
+                                   checker.witnesses(colors, Pattern.RAINBOW)),
+        "min", budget)
 
 
 def count_colorings(graph: Graph, pattern: Pattern, t: int,

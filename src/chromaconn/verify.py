@@ -3,8 +3,9 @@
 A certificate carries one witness per unordered vertex pair: a pattern path
 (connection), k pairwise disjoint pattern paths (k_connection), or the u-side
 of a bipartition whose crossing cut fits the pattern (disconnection).
-verify_certificate revalidates everything in polynomial time and returns
-False, never raising, on malformed input.
+verify_certificate revalidates everything in polynomial time.  It returns
+False on malformed input; an internal error propagates, so a bug in the
+verifier cannot pass for a rejected certificate.
 """
 
 from __future__ import annotations
@@ -13,7 +14,14 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .coloring import EdgeColoring, Pattern, PathSearch, _seq_satisfies
-from .graph import Graph, bfs_distances, max_disjoint_paths, uv_bipartitions
+from .graph import (
+    Graph,
+    bfs_distances,
+    crossing_cut,
+    is_connected,
+    max_disjoint_paths,
+    uv_bipartitions,
+)
 from .local import is_proper_edge_coloring
 
 PROPER_RAINBOW = "proper_rainbow"
@@ -290,8 +298,6 @@ class DisconnCheck:
 # public verifiers
 
 def _require_connected(graph: Graph):
-    from .graph import is_connected
-
     if not is_connected(graph):
         raise ValueError("requires a connected graph")
 
@@ -397,15 +403,17 @@ def verify_certificate(graph: Graph, coloring: EdgeColoring,
 
     True only if every pair of distinct vertices is covered exactly once and
     every witness is structurally valid and satisfies its pattern; malformed
-    certificates yield False.
+    certificates yield False.  Any other error is a verifier bug and raises.
     """
     try:
         return _verify(graph, coloring, cert)
-    except Exception:
+    except (ValueError, TypeError, KeyError, IndexError):
         return False
 
 
 def _verify(graph: Graph, coloring: EdgeColoring, cert: Certificate) -> bool:
+    if not isinstance(cert, Certificate) or not isinstance(cert.pattern, str):
+        return False
     if len(coloring.colors) != graph.m:
         return False
     if cert.kind not in ("connection", "k_connection", "disconnection"):
@@ -413,6 +421,8 @@ def _verify(graph: Graph, coloring: EdgeColoring, cert: Certificate) -> bool:
     colors = coloring.colors
     covered = set()
     for w in cert.pairs:
+        if not isinstance(w, PairWitness):
+            return False
         if not (0 <= w.u < graph.n and 0 <= w.v < graph.n) or w.u == w.v:
             return False
         key = (w.u, w.v) if w.u < w.v else (w.v, w.u)
@@ -439,10 +449,7 @@ def _verify(graph: Graph, coloring: EdgeColoring, cert: Certificate) -> bool:
                 return False
             if w.u not in side or w.v in side:
                 return False
-            cut = tuple(
-                i for i, (a, b) in enumerate(graph.edges)
-                if (a in side) != (b in side)
-            )
+            cut = tuple(sorted(crossing_cut(graph, side)))
             if not cut:
                 return False
             if not _cut_ok(colors, cut, _cut_adjacent_pairs(graph, cut), pattern):

@@ -166,6 +166,19 @@ def test_verify_record_route(run_cli):
     assert ver.returncode == 1
 
 
+@pytest.mark.parametrize("bad", [
+    {"graph": "Bw", "coloring": 5, "certificate": {}},
+    {"graph": 5, "coloring": "0,1", "certificate": {}},
+])
+def test_verify_record_non_string_field(run_cli, bad):
+    good = run_cli(["compute", "--pattern", "rainbow", "--graph", C4]).stdout
+    ver = run_cli(["verify"], stdin=json.dumps(bad) + "\n" + good)
+    assert ver.returncode == 1
+    assert "bad record" in ver.stderr and "line 1" in ver.stderr
+    assert "Traceback" not in ver.stderr
+    assert _json_lines(ver.stdout) == [{"graph": C4, "valid": True}]
+
+
 def test_verify_requires_pattern_with_coloring(run_cli):
     r = run_cli(["verify", "--coloring", "0,0", "--graph", P3])
     assert r.returncode == 1

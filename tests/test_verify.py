@@ -263,3 +263,19 @@ def test_verify_handles_malformed_without_raising():
     assert not verify_certificate(g, ec, None)
     assert not verify_certificate(
         g, ec, Certificate("connection", "rainbow", ("junk",)))
+
+
+@pytest.mark.parametrize("name", ["_valid_path", "_cut_ok"])
+def test_verify_internal_error_propagates(monkeypatch, name):
+    import chromaconn.verify as verify
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("verifier bug")
+
+    g, ec, cert = _rainbow_cert()
+    if name == "_cut_ok":
+        cert = is_pattern_disconnected(g, ec, Pattern.RAINBOW)
+    assert verify_certificate(g, ec, cert)
+    monkeypatch.setattr(verify, name, broken)
+    with pytest.raises(RuntimeError, match="verifier bug"):
+        verify_certificate(g, ec, cert)
