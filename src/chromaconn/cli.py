@@ -422,7 +422,7 @@ def _add_io_options(sub, with_budget=True):
     if with_budget:
         sub.add_argument(
             "--budget", type=_positive_int, default=None,
-            help=f"max colorings per solve, >= 1 "
+            help=f"max search nodes per solve, >= 1 "
                  f"(default ${BUDGET_ENV} or {DEFAULT_BUDGET})")
 
 

@@ -75,16 +75,24 @@ class EdgeColoring:
         return len(set(self.colors))
 
 
+# Enum member lookups (Pattern.X) cost about ten times a plain name lookup;
+# the hot loops below compare against these module-level aliases instead
+_RAINBOW = Pattern.RAINBOW
+_PROPER = Pattern.PROPER
+_MONOCHROMATIC = Pattern.MONOCHROMATIC
+_CONFLICT_FREE = Pattern.CONFLICT_FREE
+
+
 def _seq_satisfies(seq: Sequence, pattern: Pattern) -> bool:
     if len(seq) <= 1:
         return True
-    if pattern is Pattern.RAINBOW:
+    if pattern is _RAINBOW:
         return len(set(seq)) == len(seq)
-    if pattern is Pattern.PROPER:
+    if pattern is _PROPER:
         return all(a != b for a, b in zip(seq, seq[1:]))
-    if pattern is Pattern.MONOCHROMATIC:
+    if pattern is _MONOCHROMATIC:
         return len(set(seq)) == 1
-    if pattern is Pattern.CONFLICT_FREE:
+    if pattern is _CONFLICT_FREE:
         return any(k == 1 for k in Counter(seq).values())
     raise ValueError(f"unknown pattern {pattern!r}")
 
@@ -162,24 +170,28 @@ class PathSearch:
         """Depth-first extension of the simple path verts (edges eidx) that
         ends at x; appends each pattern path reaching v to out.  With first
         set, stops at the first one and returns True."""
+        rainbow = pattern is _RAINBOW
+        proper = pattern is _PROPER
+        mono = pattern is _MONOCHROMATIC
+        conflict_free = pattern is _CONFLICT_FREE
         for y, e in self.adj[x]:
             if visited & (1 << y):
                 continue
             c = colors[e]
-            if pattern is Pattern.RAINBOW:
+            if rainbow:
                 if any(colors[f] == c for f in eidx):
                     continue
-            elif pattern is Pattern.PROPER:
+            elif proper:
                 if eidx and colors[eidx[-1]] == c:
                     continue
-            elif pattern is Pattern.MONOCHROMATIC:
+            elif mono:
                 if eidx and colors[eidx[0]] != c:
                     continue
             verts.append(y)
             eidx.append(e)
             if y == v:
-                if pattern is not Pattern.CONFLICT_FREE or _seq_satisfies(
-                    [colors[f] for f in eidx], Pattern.CONFLICT_FREE
+                if not conflict_free or _seq_satisfies(
+                    [colors[f] for f in eidx], _CONFLICT_FREE
                 ):
                     out.append(Path(tuple(verts), tuple(eidx)))
                     if first:

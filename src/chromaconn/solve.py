@@ -2,17 +2,28 @@
 
 Search space is canonical colorings (restricted growth strings), surjective at
 each palette size t.  Minimizing patterns scan t upward from a lower bound,
-the maximizing (monochromatic) pattern scans t downward from the edge count;
+the maximizing (monochromatic) pattern scans t downward from an upper bound;
 the first feasible t is optimal because any coloring with exactly t' distinct
 colors is enumerated at t'.  Within the optimal t the first feasible string in
 lexicographic order is returned, so results are deterministic.  All three
 optimizers run this search through one loop, _optimize, and differ only in
-their preconditions, their t-scan and their feasibility test;
+their preconditions, their t-scan, their leaf test and their forward checker;
 count_colorings enumerates without a t-scan or early exit.
 
-Runtimes are exponential; a budget (number of colorings tested) turns an
-over-large instance into an explicit BudgetExceededError rather than a wrong
-answer.
+_optimize walks restricted-growth prefixes depth first, coloring edges in
+index order and trying values in increasing order, so complete strings
+arrive in the order of restricted_growth_strings(m, t, surjective=True).  A
+forward checker may reject a prefix as soon as an edge is colored, which cuts
+its whole subtree; it only rejects prefixes that no completion could make
+feasible, so the first accepted string is the same as without it.  The
+disconnection numbers pass a checker over the pair cut families
+(verify.CutFamilyChecker), proper-rainbow connection one for "adjacent
+edges differ"; the connection numbers pass none.
+
+One node of work is a complete string tested or a prefix rejected.  Runtimes
+are exponential; a budget of nodes turns an over-large instance into an
+explicit BudgetExceededError rather than a wrong answer.  Each prefix the walk
+visits has a node below it, so a node costs at most m prefix steps.
 """
 
 from __future__ import annotations
@@ -21,13 +32,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .coloring import EdgeColoring, Pattern, restricted_growth_strings
-from .graph import Graph, diameter, is_connected, max_disjoint_paths, write_graph6
+from .graph import (Graph, diameter, is_connected, line_graph,
+                    max_disjoint_paths, write_graph6)
 from .local import is_proper_edge_coloring
 from .verify import (
     PROPER_RAINBOW,
     Certificate,
     ConnCheck,
     CUT_PATTERNS,
+    CutFamilyChecker,
     DisconnCheck,
     KConnCheck,
     certificate_to_dict,
@@ -35,14 +48,16 @@ from .verify import (
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when a solver runs out of its assignment budget."""
+    """Raised when a solver runs out of its node budget."""
 
-    def __init__(self, budget: int, explored: int):
+    def __init__(self, budget: int, explored: int, t: int):
         super().__init__(
-            f"budget of {budget} colorings exhausted after testing {explored}"
+            f"budget of {budget} nodes exhausted after {explored}, "
+            f"searching palette size t={t}"
         )
         self.budget = budget
         self.explored = explored
+        self.t = t  # palette size being searched when the budget ran out
 
 
 @dataclass(frozen=True)
@@ -110,23 +125,72 @@ def _trivial_result(pattern_name: str, kind: str, objective: str,
 
 
 def _optimize(m: int, ts, feasible, make_certificate, objective: str,
-              budget: Optional[int]) -> SolveResult:
+              budget: Optional[int], checker=None) -> SolveResult:
     """The one search loop: the first t in ts, and within it the first
-    canonical string, that passes feasible(colors).
+    canonical string, that the checker keeps and that passes feasible.
 
+    checker, if given, has an initial state and extend(i, prefix, state),
+    called right after prefix[i] is colored with the state of prefix[:i]; it
+    returns the state of prefix[:i+1], or None to reject that prefix and its
+    subtree.  The walk keeps one state per depth, so backtracking restores
+    it.  feasible(colors) tests each complete string the checker kept (None
+    accepts it); colors is the walk's own list, valid during the call.
     make_certificate(colors) builds the witnesses of the accepted string.
-    Every tested string counts against the budget.
+    Every complete string tested and every prefix rejected is one node
+    counted against the budget.
     """
+    prefix = [0] * m
     nodes = 0
-    for t in ts:
-        for colors in restricted_growth_strings(m, t, surjective=True):
+    t = 0
+
+    def walk(i: int, used: int, state) -> bool:
+        nonlocal nodes
+        last = i == m - 1
+        slack = m - 1 - i  # edges still to color after i
+        for val in range(min(used + 1, t)):
+            nused = used if val < used else used + 1
+            if nused + slack < t:
+                continue  # too few edges left to reach t colors
+            prefix[i] = val
+            nstate = state if checker is None else checker.extend(
+                i, prefix, state)
+            if nstate is not None and not last:
+                if walk(i + 1, nused, nstate):
+                    return True
+                continue
             nodes += 1
             if budget is not None and nodes > budget:
-                raise BudgetExceededError(budget, nodes - 1)
-            if feasible(colors):
-                return SolveResult(t, EdgeColoring(colors, t),
-                                   make_certificate(colors), nodes, objective)
+                raise BudgetExceededError(budget, nodes - 1, t)
+            if nstate is not None and (feasible is None or feasible(prefix)):
+                return True
+        return False
+
+    initial = 0 if checker is None else checker.initial
+    for t in ts:
+        if walk(0, 0, initial):
+            colors = tuple(prefix)
+            return SolveResult(t, EdgeColoring(colors, t),
+                               make_certificate(colors), nodes, objective)
     raise AssertionError("search space exhausted unexpectedly")
+
+
+class _AdjacentEdgesDiffer:
+    """Forward checker for proper edge colorings: edge i must differ from
+    every earlier edge sharing an endpoint.  Stateless."""
+
+    initial = 0
+
+    def __init__(self, graph: Graph):
+        self.earlier = [[] for _ in range(graph.m)]
+        for f, i in line_graph(graph).edges:
+            self.earlier[i].append(f)
+
+    def extend(self, i: int, prefix, state):
+        c = prefix[i]
+        for f in self.earlier[i]:
+            if prefix[f] == c:
+                return None
+        return state
 
 
 def connection_number(graph: Graph, pattern: Pattern, k: int = 1,
@@ -166,6 +230,18 @@ def disconnection_number(graph: Graph, pattern: Pattern,
 
     Defined for rainbow, proper and monochromatic patterns on connected
     graphs; the one-vertex graph has no pairs, value 0.
+
+    Rainbow scans t upward from lambda+ = max over pairs of the local edge
+    connectivity lambda(u,v), the size of a minimum u-v cut: a rainbow u-v
+    cut is a u-v cut, so it has at least lambda(u,v) edges, all of distinct
+    colors.
+
+    Monochromatic scans t downward from min(m, n-1).  Take a feasible
+    coloring, a cycle C and an edge uv on C.  Some u-v cut is monochromatic;
+    the crossing cut of u's component after its removal is a subset of it,
+    so it is monochromatic too, contains uv and meets C in an even number of
+    edges.  So another edge of C has the color of uv: no cycle carries a
+    color exactly once, and one edge of each color forms a forest, t <= n-1.
     """
     if pattern not in CUT_PATTERNS:
         raise ValueError(f"pattern {pattern.value} has no disconnection variant")
@@ -176,12 +252,19 @@ def disconnection_number(graph: Graph, pattern: Pattern,
         return _trivial_result(pattern.value, "disconnection", objective)
     checker = DisconnCheck(graph)
     m = graph.m
-    ts = range(1, m + 1) if objective == "min" else range(m, 0, -1)
+    if pattern is Pattern.MONOCHROMATIC:
+        ts = range(min(m, graph.n - 1), 0, -1)
+    elif pattern is Pattern.RAINBOW:
+        # each pair's cuts are sorted by size, the first is a minimum cut
+        lam = max(len(checker.cuts[pair][0][1]) for pair in checker.pairs)
+        ts = range(lam, m + 1)
+    else:
+        ts = range(1, m + 1)
     return _optimize(
-        m, ts, lambda colors: checker.disconnected(colors, pattern),
+        m, ts, None,
         lambda colors: Certificate("disconnection", pattern.value,
                                    checker.witnesses(colors, pattern)),
-        objective, budget)
+        objective, budget, CutFamilyChecker(checker, pattern))
 
 
 def proper_rainbow_connection_number(graph: Graph,
@@ -196,15 +279,14 @@ def proper_rainbow_connection_number(graph: Graph,
     m = graph.m
     maxdeg = max(graph.degree(v) for v in range(graph.n))
     lower = max(1, diameter(graph), maxdeg)
-    # colors < t <= m, so m is a valid palette for the proper-edge test
-    return _optimize(
+    result = _optimize(
         m, range(lower, m + 1),
-        lambda colors: (
-            is_proper_edge_coloring(graph, EdgeColoring(colors, m))
-            and checker.connected(colors, Pattern.RAINBOW)),
+        lambda colors: checker.connected(colors, Pattern.RAINBOW),
         lambda colors: Certificate("connection", PROPER_RAINBOW,
                                    checker.witnesses(colors, Pattern.RAINBOW)),
-        "min", budget)
+        "min", budget, _AdjacentEdgesDiffer(graph))
+    assert is_proper_edge_coloring(graph, result.optimal_coloring)
+    return result
 
 
 def count_colorings(graph: Graph, pattern: Pattern, t: int,
@@ -239,7 +321,7 @@ def count_colorings(graph: Graph, pattern: Pattern, t: int,
     for colors in restricted_growth_strings(m, min(t, m)):
         nodes += 1
         if budget is not None and nodes > budget:
-            raise BudgetExceededError(budget, nodes - 1)
+            raise BudgetExceededError(budget, nodes - 1, t)
         if test(colors):
             j = max(colors) + 1
             weight = 1

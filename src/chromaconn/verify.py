@@ -11,9 +11,18 @@ verifier cannot pass for a rejected certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Sequence
 
-from .coloring import EdgeColoring, Pattern, PathSearch, _seq_satisfies
+from .coloring import (
+    _MONOCHROMATIC,
+    _PROPER,
+    _RAINBOW,
+    EdgeColoring,
+    Pattern,
+    PathSearch,
+    _seq_satisfies,
+)
 from .graph import (
     Graph,
     bfs_distances,
@@ -229,7 +238,7 @@ def _cut_adjacent_pairs(graph: Graph, cut):
 
 
 def _cut_ok(colors, cut, adjacent, pattern: Pattern) -> bool:
-    if pattern is Pattern.RAINBOW:
+    if pattern is _RAINBOW:
         seen = set()
         for e in cut:
             c = colors[e]
@@ -237,10 +246,10 @@ def _cut_ok(colors, cut, adjacent, pattern: Pattern) -> bool:
                 return False
             seen.add(c)
         return True
-    if pattern is Pattern.MONOCHROMATIC:
+    if pattern is _MONOCHROMATIC:
         first = colors[cut[0]]
         return all(colors[e] == first for e in cut)
-    if pattern is Pattern.PROPER:
+    if pattern is _PROPER:
         return all(colors[e] != colors[f] for e, f in adjacent)
     raise ValueError(f"pattern {pattern.value} has no cut form")
 
@@ -292,6 +301,85 @@ class DisconnCheck:
                 return None
             out.append(PairWitness(u, v, side=side))
         return tuple(out)
+
+
+class CutFamilyChecker:
+    """Forward checking of a DisconnCheck's cut families on colored edge
+    prefixes, for solve._optimize.
+
+    Edges are colored in index order.  The cuts of all pairs are pooled, one
+    bit per distinct cut, and the state is the bitmask of cuts still alive.
+    Rainbow, proper and monochromatic are pairwise constraints between the
+    edges of a cut, so when edge i gets its color it is compared with the
+    cut's earlier edges only: with every earlier edge (rainbow), with every
+    earlier edge sharing an endpoint (proper), or with the cut's first edge
+    (monochromatic, equality being transitive).  A failed comparison kills
+    the cut for every completion of the prefix, and a prefix is rejected as
+    soon as some pair has no live cut.  A complete coloring that survives has
+    a live, fully compared, hence fitting cut for every pair.
+
+    The per-edge table is stored by earlier edge: rows[i] lists (f, mask),
+    mask being the cuts in which edge i is compared with edge f < i.  A cut
+    dies when the colors of i and f are equal (rainbow, proper) or differ
+    (monochromatic).
+    """
+
+    def __init__(self, check: DisconnCheck, pattern: Pattern):
+        if pattern not in CUT_PATTERNS:
+            raise ValueError(f"pattern {pattern.value} has no cut form")
+        bit = {}      # distinct cut -> its bit
+        compare = {}  # (f, i) with f < i -> mask of cuts comparing i with f
+        self.pair_masks = []
+        for pair in check.pairs:
+            mask = 0
+            for _, cut, adjacent in check.cuts[pair]:
+                if not cut:
+                    continue
+                if cut not in bit:
+                    b = bit[cut] = len(bit)
+                    if pattern is _MONOCHROMATIC:
+                        pairs = [(cut[0], e) for e in cut[1:]]
+                    elif pattern is _RAINBOW:
+                        pairs = combinations(cut, 2)
+                    else:
+                        pairs = adjacent
+                    for fi in pairs:
+                        compare[fi] = compare.get(fi, 0) | 1 << b
+                mask |= 1 << bit[cut]
+            self.pair_masks.append(mask)
+        self.initial = (1 << len(bit)) - 1
+        self.rows = [[] for _ in range(check.graph.m)]
+        for (f, i), mask in compare.items():
+            self.rows[i].append((f, mask))
+        self.extend = (self._kill_unequal if pattern is _MONOCHROMATIC
+                       else self._kill_equal)
+
+    def _kill(self, live: int, dead: int):
+        live &= ~dead
+        for mask in self.pair_masks:
+            if not live & mask:
+                return None
+        return live
+
+    def _kill_equal(self, i: int, prefix, live: int):
+        """State after coloring edge i, or None when some pair lost its last
+        cut: kills the live cuts where i repeats an earlier edge's color."""
+        c = prefix[i]
+        dead = 0
+        for f, mask in self.rows[i]:
+            if prefix[f] == c:
+                dead |= mask
+        return self._kill(live, dead) if dead & live else live
+
+    def _kill_unequal(self, i: int, prefix, live: int):
+        """As _kill_equal, killing the cuts whose first edge has another
+        color than i."""
+        c = prefix[i]
+        dead = 0
+        for f, mask in self.rows[i]:
+            if prefix[f] != c:
+                dead |= mask
+        return self._kill(live, dead) if dead & live else live
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,114 @@
+"""The prefix walk of solve._optimize and its forward checkers.
+
+Without a checker the walk must reach complete strings in the order of
+restricted_growth_strings; with one it must accept exactly the strings that
+the whole-coloring tests accept, so every answer stays the same.
+"""
+
+import pytest
+
+from chromaconn import (
+    BudgetExceededError,
+    EdgeColoring,
+    Pattern,
+    complete_graph,
+    connected_graphs_up_to,
+    count_colorings,
+    disconnection_number,
+    parse_graph6,
+    proper_rainbow_connection_number,
+    restricted_growth_strings,
+    verify_certificate,
+)
+from chromaconn.cli import DEFAULT_BUDGET
+from chromaconn.local import is_proper_edge_coloring
+from chromaconn.solve import _AdjacentEdgesDiffer, _optimize
+from chromaconn.verify import (CUT_PATTERNS, ConnCheck, CutFamilyChecker,
+                               DisconnCheck)
+
+SMALL = [g for g in connected_graphs_up_to(5) if 1 <= g.m <= 7]
+
+
+def _accepted(m, t, feasible, checker):
+    """Every complete string the walk hands to feasible at palette size t."""
+    seen = []
+
+    def record(colors):
+        if feasible(colors):
+            seen.append(tuple(colors))
+        return False
+
+    with pytest.raises(AssertionError, match="exhausted"):
+        _optimize(m, (t,), record, None, "min", None, checker)
+    return seen
+
+
+def test_walk_without_checker_visits_canonical_order():
+    for m in range(1, 7):
+        for t in range(1, m + 1):
+            want = list(restricted_growth_strings(m, t, surjective=True))
+            seen = []
+
+            def last(colors):
+                seen.append(tuple(colors))
+                return len(seen) == len(want)
+
+            r = _optimize(m, (t,), last, tuple, "min", None)
+            assert seen == want
+            assert r.nodes_explored == len(want)
+            assert r.optimal_coloring == EdgeColoring(want[-1], t)
+
+
+def test_cut_checker_accepts_exactly_the_disconnected_strings():
+    for g in SMALL:
+        check = DisconnCheck(g)
+        for pattern in CUT_PATTERNS:
+            checker = CutFamilyChecker(check, pattern)
+            for t in range(1, g.m + 1):
+                want = [s for s in restricted_growth_strings(g.m, t, True)
+                        if check.disconnected(s, pattern)]
+                assert _accepted(g.m, t, lambda s: True, checker) == want
+
+
+def test_adjacent_checker_accepts_exactly_the_proper_rainbow_strings():
+    for g in SMALL:
+        check = ConnCheck(g)
+        checker = _AdjacentEdgesDiffer(g)
+
+        def connected(s):
+            return check.connected(s, Pattern.RAINBOW)
+
+        for t in range(1, g.m + 1):
+            want = [s for s in restricted_growth_strings(g.m, t, True)
+                    if is_proper_edge_coloring(g, EdgeColoring(s, g.m))
+                    and connected(s)]
+            assert _accepted(g.m, t, connected, checker) == want
+
+
+def test_k6_solves_with_verified_certificates():
+    k6 = parse_graph6("E~~w")
+    b = DEFAULT_BUDGET
+    solves = {
+        "rd": lambda: disconnection_number(k6, Pattern.RAINBOW, budget=b),
+        "pd": lambda: disconnection_number(k6, Pattern.PROPER, budget=b),
+        "md": lambda: disconnection_number(k6, Pattern.MONOCHROMATIC,
+                                           budget=b),
+        "prc": lambda: proper_rainbow_connection_number(k6, budget=b),
+    }
+    values = {}
+    for name, solve in solves.items():
+        r = solve()
+        assert verify_certificate(k6, r.optimal_coloring, r.certificate), name
+        values[name] = r.value
+    assert values == {"rd": 5, "pd": 3, "md": 1, "prc": 5}
+
+
+def test_budget_error_names_the_palette_size():
+    # rd(K4) starts at lambda+ = 3 and needs more than one node there
+    with pytest.raises(BudgetExceededError) as err:
+        disconnection_number(complete_graph(4), Pattern.RAINBOW, budget=1)
+    assert (err.value.budget, err.value.explored, err.value.t) == (1, 1, 3)
+    assert "t=3" in str(err.value)
+    with pytest.raises(BudgetExceededError) as err:
+        count_colorings(complete_graph(4), Pattern.RAINBOW, 3, budget=5)
+    assert err.value.t == 3 and err.value.explored == 5
