@@ -14,10 +14,6 @@ from typing import Iterable, Iterator, Sequence
 
 GRAPH6_HEADER = ">>graph6<<"
 
-# edge/vertex sets are plain frozensets of indices
-VertexSet = frozenset
-EdgeSet = frozenset
-
 
 @dataclass(frozen=True)
 class Graph:
@@ -469,13 +465,6 @@ def contract_edge(graph: Graph, edge) -> Graph:
 
 # ---------------------------------------------------------------------------
 # canonical form (exhaustive, for small n)
-
-def _mask_of(n: int, edges) -> int:
-    mask = 0
-    for (a, b) in edges:
-        mask |= 1 << (a * n - a * (a + 1) // 2 + (b - a - 1))
-    return mask
-
 
 def _graph_from_mask(n: int, mask: int) -> Graph:
     edges = []

@@ -16,9 +16,10 @@ arrive in the order of restricted_growth_strings(m, t, surjective=True).  A
 forward checker may reject a prefix as soon as an edge is colored, which cuts
 its whole subtree; it only rejects prefixes that no completion could make
 feasible, so the first accepted string is the same as without it.  The
-disconnection numbers pass a checker over the pair cut families
-(verify.CutFamilyChecker), proper-rainbow connection one for "adjacent
-edges differ"; the connection numbers pass none.
+disconnection numbers pass their table of pair cut families
+(verify.DisconnCheck, which also certifies the accepted string),
+proper-rainbow connection a checker for "adjacent edges differ"; the
+connection numbers pass none.
 
 One node of work is a complete string tested or a prefix rejected.  Runtimes
 are exponential; a budget of nodes turns an over-large instance into an
@@ -40,7 +41,6 @@ from .verify import (
     Certificate,
     ConnCheck,
     CUT_PATTERNS,
-    CutFamilyChecker,
     DisconnCheck,
     KConnCheck,
     certificate_to_dict,
@@ -166,11 +166,16 @@ def _optimize(m: int, ts, feasible, make_certificate, objective: str,
         return False
 
     initial = 0 if checker is None else checker.initial
-    for t in ts:
-        if walk(0, 0, initial):
-            colors = tuple(prefix)
-            return SolveResult(t, EdgeColoring(colors, t),
-                               make_certificate(colors), nodes, objective)
+    try:
+        for t in ts:
+            if walk(0, 0, initial):
+                colors = tuple(prefix)
+                return SolveResult(t, EdgeColoring(colors, t),
+                                   make_certificate(colors), nodes, objective)
+    finally:
+        # walk's closure refers to walk: a reference cycle that would keep
+        # the checker's tables alive until the cyclic collector runs
+        del walk
     raise AssertionError("search space exhausted unexpectedly")
 
 
@@ -250,21 +255,21 @@ def disconnection_number(graph: Graph, pattern: Pattern,
     objective = pattern.objective
     if graph.n == 1:
         return _trivial_result(pattern.value, "disconnection", objective)
-    checker = DisconnCheck(graph)
+    checker = DisconnCheck(graph, pattern)
     m = graph.m
     if pattern is Pattern.MONOCHROMATIC:
         ts = range(min(m, graph.n - 1), 0, -1)
     elif pattern is Pattern.RAINBOW:
         # each pair's cuts are sorted by size, the first is a minimum cut
-        lam = max(len(checker.cuts[pair][0][1]) for pair in checker.pairs)
+        lam = max(len(cuts[0][0]) for cuts in checker.cuts)
         ts = range(lam, m + 1)
     else:
         ts = range(1, m + 1)
     return _optimize(
         m, ts, None,
         lambda colors: Certificate("disconnection", pattern.value,
-                                   checker.witnesses(colors, pattern)),
-        objective, budget, CutFamilyChecker(checker, pattern))
+                                   checker.witnesses(colors)),
+        objective, budget, checker)
 
 
 def proper_rainbow_connection_number(graph: Graph,
@@ -314,8 +319,8 @@ def count_colorings(graph: Graph, pattern: Pattern, t: int,
         checker = ConnCheck(graph)
         test = lambda colors: checker.connected(colors, pattern)
     else:
-        checker = DisconnCheck(graph)
-        test = lambda colors: checker.disconnected(colors, pattern)
+        checker = DisconnCheck(graph, pattern)
+        test = checker.disconnected
     total = 0
     nodes = 0
     for colors in restricted_growth_strings(m, min(t, m)):

@@ -73,6 +73,11 @@ def certificate_to_dict(cert: Certificate) -> dict:
     return out
 
 
+def _is_int(x) -> bool:
+    """An integer that is not a bool (JSON true would pass isinstance int)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def certificate_from_dict(data: dict) -> Certificate:
     """Parse the JSON layout; raises ValueError on structural problems."""
     if not isinstance(data, dict):
@@ -92,11 +97,11 @@ def certificate_from_dict(data: dict) -> Certificate:
         if not isinstance(entry, dict):
             raise ValueError("pair witness must be an object")
         u, v = entry.get("u"), entry.get("v")
-        if not isinstance(u, int) or not isinstance(v, int):
+        if not _is_int(u) or not _is_int(v):
             raise ValueError("pair endpoints must be integers")
         if "side" in entry:
             side = entry["side"]
-            if not isinstance(side, list) or not all(isinstance(x, int) for x in side):
+            if not isinstance(side, list) or not all(_is_int(x) for x in side):
                 raise ValueError("side must be a list of integers")
             pairs.append(PairWitness(u, v, side=tuple(side)))
         else:
@@ -105,14 +110,14 @@ def certificate_from_dict(data: dict) -> Certificate:
                 raise ValueError("paths must be a list")
             parsed = []
             for p in paths:
-                if not isinstance(p, list) or not all(isinstance(x, int) for x in p):
+                if not isinstance(p, list) or not all(_is_int(x) for x in p):
                     raise ValueError("each path must be a list of integers")
                 parsed.append(tuple(p))
             pairs.append(PairWitness(u, v, paths=tuple(parsed)))
     k = data.get("k")
     mode = data.get("mode")
     if kind == "k_connection":
-        if not isinstance(k, int):
+        if not _is_int(k):
             raise ValueError("k_connection certificate needs integer k")
         if mode not in ("edge", "vertex"):
             raise ValueError("k_connection certificate needs mode edge|vertex")
@@ -255,131 +260,115 @@ def _cut_ok(colors, cut, adjacent, pattern: Pattern) -> bool:
 
 
 class DisconnCheck:
-    """Pattern-cut separability tests for one graph across many colorings.
+    """Pattern-cut separability of one graph's colorings, for one cut
+    pattern; also the forward checker of solve._optimize.
 
     For each pair only bipartition crossing cuts are scanned.  That is
     complete: any separating edge set contains the crossing cut of the
     u-component after removal, and rainbow/proper/monochromatic are all
-    preserved by passing to subsets.
+    preserved by passing to subsets.  cuts[k] lists pair k's distinct cuts
+    as (cut, side, bit), sorted by (size, edges): side is the u-side of the
+    cut's first bipartition, bit its place in the pool of all pairs' cuts.
+
+    Edges are colored in index order, and the state of a colored prefix is
+    the bitmask of pooled cuts still alive.  Rainbow, proper and
+    monochromatic are pairwise constraints between the edges of a cut, so
+    when edge i gets its color it is compared with the cut's earlier edges
+    only: with every earlier edge (rainbow), with every earlier edge sharing
+    an endpoint (proper), or with the cut's first edge (monochromatic,
+    equality being transitive).  A failed comparison kills the cut for every
+    completion of the prefix, and a prefix is rejected as soon as some pair
+    has no live cut.  A complete coloring that survives has a live, fully
+    compared, hence fitting cut for every pair.
+
+    rows[i] lists (f, mask), mask being the cuts in which edge i is compared
+    with edge f < i.  A cut dies when the colors of i and f are equal
+    (rainbow, proper) or differ (monochromatic).  disconnected and witnesses
+    fold extend over a whole coloring; a pair's witness is the side of its
+    first live cut.
     """
 
-    def __init__(self, graph: Graph):
-        self.graph = graph
-        self.pairs = _all_pairs(graph.n)
-        self.cuts = {}
-        for u, v in self.pairs:
-            entries = []
-            seen = set()
-            for side, cut in uv_bipartitions(graph, u, v):
-                if cut in seen:
-                    continue
-                seen.add(cut)
-                entries.append((side, cut, _cut_adjacent_pairs(graph, cut)))
-            # small cuts are cheapest to test and most likely to fit a pattern
-            entries.sort(key=lambda t: (len(t[1]), t[1]))
-            self.cuts[(u, v)] = entries
-
-    def _pair_side(self, colors, u, v, pattern: Pattern):
-        for side, cut, adjacent in self.cuts[(u, v)]:
-            if not cut:
-                continue  # disconnected bipartition cannot happen (connected pre)
-            if _cut_ok(colors, cut, adjacent, pattern):
-                return side
-        return None
-
-    def disconnected(self, colors: Sequence, pattern: Pattern) -> bool:
-        for u, v in self.pairs:
-            if self._pair_side(colors, u, v, pattern) is None:
-                return False
-        return True
-
-    def witnesses(self, colors: Sequence, pattern: Pattern):
-        out = []
-        for u, v in self.pairs:
-            side = self._pair_side(colors, u, v, pattern)
-            if side is None:
-                return None
-            out.append(PairWitness(u, v, side=side))
-        return tuple(out)
-
-
-class CutFamilyChecker:
-    """Forward checking of a DisconnCheck's cut families on colored edge
-    prefixes, for solve._optimize.
-
-    Edges are colored in index order.  The cuts of all pairs are pooled, one
-    bit per distinct cut, and the state is the bitmask of cuts still alive.
-    Rainbow, proper and monochromatic are pairwise constraints between the
-    edges of a cut, so when edge i gets its color it is compared with the
-    cut's earlier edges only: with every earlier edge (rainbow), with every
-    earlier edge sharing an endpoint (proper), or with the cut's first edge
-    (monochromatic, equality being transitive).  A failed comparison kills
-    the cut for every completion of the prefix, and a prefix is rejected as
-    soon as some pair has no live cut.  A complete coloring that survives has
-    a live, fully compared, hence fitting cut for every pair.
-
-    The per-edge table is stored by earlier edge: rows[i] lists (f, mask),
-    mask being the cuts in which edge i is compared with edge f < i.  A cut
-    dies when the colors of i and f are equal (rainbow, proper) or differ
-    (monochromatic).
-    """
-
-    def __init__(self, check: DisconnCheck, pattern: Pattern):
+    def __init__(self, graph: Graph, pattern: Pattern):
         if pattern not in CUT_PATTERNS:
             raise ValueError(f"pattern {pattern.value} has no cut form")
+        self.graph = graph
+        self.pattern = pattern
+        self.pairs = _all_pairs(graph.n)
         bit = {}      # distinct cut -> its bit
         compare = {}  # (f, i) with f < i -> mask of cuts comparing i with f
+        self.cuts = []
         self.pair_masks = []
-        for pair in check.pairs:
+        for u, v in self.pairs:
+            sides = {}
+            for side, cut in uv_bipartitions(graph, u, v):
+                sides.setdefault(cut, side)
             mask = 0
-            for _, cut, adjacent in check.cuts[pair]:
-                if not cut:
-                    continue
-                if cut not in bit:
+            entries = []
+            # small first: a pair's first live cut is its witness
+            for cut in sorted(sides, key=lambda c: (len(c), c)):
+                b = bit.get(cut)
+                if b is None:
                     b = bit[cut] = len(bit)
                     if pattern is _MONOCHROMATIC:
                         pairs = [(cut[0], e) for e in cut[1:]]
                     elif pattern is _RAINBOW:
                         pairs = combinations(cut, 2)
                     else:
-                        pairs = adjacent
+                        pairs = _cut_adjacent_pairs(graph, cut)
                     for fi in pairs:
                         compare[fi] = compare.get(fi, 0) | 1 << b
-                mask |= 1 << bit[cut]
+                mask |= 1 << b
+                entries.append((cut, sides[cut], b))
+            self.cuts.append(entries)
             self.pair_masks.append(mask)
         self.initial = (1 << len(bit)) - 1
-        self.rows = [[] for _ in range(check.graph.m)]
+        self.rows = [[] for _ in range(graph.m)]
         for (f, i), mask in compare.items():
             self.rows[i].append((f, mask))
-        self.extend = (self._kill_unequal if pattern is _MONOCHROMATIC
-                       else self._kill_equal)
 
-    def _kill(self, live: int, dead: int):
+    def extend(self, i: int, prefix, live: int):
+        """State after coloring edge i, or None when some pair lost its last
+        cut."""
+        c = prefix[i]
+        dead = 0
+        if self.pattern is _MONOCHROMATIC:
+            for f, mask in self.rows[i]:
+                if prefix[f] != c:
+                    dead |= mask
+        else:
+            for f, mask in self.rows[i]:
+                if prefix[f] == c:
+                    dead |= mask
+        if not dead & live:
+            return live
         live &= ~dead
         for mask in self.pair_masks:
             if not live & mask:
                 return None
         return live
 
-    def _kill_equal(self, i: int, prefix, live: int):
-        """State after coloring edge i, or None when some pair lost its last
-        cut: kills the live cuts where i repeats an earlier edge's color."""
-        c = prefix[i]
-        dead = 0
-        for f, mask in self.rows[i]:
-            if prefix[f] == c:
-                dead |= mask
-        return self._kill(live, dead) if dead & live else live
+    def _live(self, colors: Sequence):
+        live = self.initial
+        for i in range(self.graph.m):
+            live = self.extend(i, colors, live)
+            if live is None:
+                break
+        return live
 
-    def _kill_unequal(self, i: int, prefix, live: int):
-        """As _kill_equal, killing the cuts whose first edge has another
-        color than i."""
-        c = prefix[i]
-        dead = 0
-        for f, mask in self.rows[i]:
-            if prefix[f] != c:
-                dead |= mask
-        return self._kill(live, dead) if dead & live else live
+    def disconnected(self, colors: Sequence) -> bool:
+        return self._live(colors) is not None
+
+    def witnesses(self, colors: Sequence):
+        """Per pair, the side of its first fitting cut; None if a pair has
+        none."""
+        live = self._live(colors)
+        if live is None:
+            return None
+        out = []
+        for (u, v), entries in zip(self.pairs, self.cuts):
+            side = next(s for _, s, b in entries if live >> b & 1)
+            out.append(PairWitness(u, v, side=side))
+        return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +431,7 @@ def is_pattern_disconnected(graph: Graph, coloring: EdgeColoring,
         raise ValueError(f"pattern {pattern.value} has no disconnection variant")
     _require_connected(graph)
     _check_coloring(graph, coloring)
-    wit = DisconnCheck(graph).witnesses(coloring.colors, pattern)
+    wit = DisconnCheck(graph, pattern).witnesses(coloring.colors)
     if wit is None:
         return None
     return Certificate("disconnection", pattern.value, wit)

@@ -179,6 +179,18 @@ def test_verify_record_non_string_field(run_cli, bad):
     assert _json_lines(ver.stdout) == [{"graph": C4, "valid": True}]
 
 
+def test_verify_record_rejects_boolean_vertex(run_cli):
+    # JSON true is not the vertex 1, although Python's bool is an int
+    data = json.loads(run_cli(["compute", "--pattern", "rainbow",
+                               "--graph", "Bw"]).stdout)
+    assert data["certificate"]["pairs"][2]["u"] == 1
+    data["certificate"]["pairs"][2]["u"] = True
+    ver = run_cli(["verify"], stdin=json.dumps(data) + "\n")
+    assert ver.returncode == 1
+    assert "bad record" in ver.stderr
+    assert ver.stdout == ""
+
+
 def test_verify_requires_pattern_with_coloring(run_cli):
     r = run_cli(["verify", "--coloring", "0,0", "--graph", P3])
     assert r.returncode == 1

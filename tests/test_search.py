@@ -2,7 +2,9 @@
 
 Without a checker the walk must reach complete strings in the order of
 restricted_growth_strings; with one it must accept exactly the strings that
-the whole-coloring tests accept, so every answer stays the same.
+the whole-coloring tests accept, so every answer stays the same.  The cut
+checker is measured against the brute-force cut families of oracles.py, as
+its whole-coloring test and its witnesses share its own table.
 """
 
 import pytest
@@ -23,8 +25,9 @@ from chromaconn import (
 from chromaconn.cli import DEFAULT_BUDGET
 from chromaconn.local import is_proper_edge_coloring
 from chromaconn.solve import _AdjacentEdgesDiffer, _optimize
-from chromaconn.verify import (CUT_PATTERNS, ConnCheck, CutFamilyChecker,
-                               DisconnCheck)
+from chromaconn.verify import CUT_PATTERNS, ConnCheck, DisconnCheck
+from oracles import (DSU, _disconnected_under, _pair_cut_families, all_pairs,
+                     cut_satisfies, minimal_separating_sets)
 
 SMALL = [g for g in connected_graphs_up_to(5) if 1 <= g.m <= 7]
 
@@ -61,13 +64,47 @@ def test_walk_without_checker_visits_canonical_order():
 
 def test_cut_checker_accepts_exactly_the_disconnected_strings():
     for g in SMALL:
-        check = DisconnCheck(g)
+        families = _pair_cut_families(g.n, g.edges)
         for pattern in CUT_PATTERNS:
-            checker = CutFamilyChecker(check, pattern)
+            checker = DisconnCheck(g, pattern)
             for t in range(1, g.m + 1):
                 want = [s for s in restricted_growth_strings(g.m, t, True)
-                        if check.disconnected(s, pattern)]
+                        if _disconnected_under(g.edges, s, pattern.value,
+                                               families)]
                 assert _accepted(g.m, t, lambda s: True, checker) == want
+
+
+def _u_side(n, edges, removed, u):
+    d = DSU(n)
+    for i, (a, b) in enumerate(edges):
+        if i not in removed:
+            d.union(a, b)
+    return tuple(w for w in range(n) if d.same(u, w))
+
+
+def test_witnesses_side_with_the_first_fitting_minimal_cut():
+    # a fitting cut's minimal subsets fit too and come first in (size,
+    # edges) order, so each pair's first fitting cut is a bond, whose u-side
+    # is u's component once it is removed
+    for g in SMALL:
+        pairs = all_pairs(g.n)
+        families = [[(cut, _u_side(g.n, g.edges, cut, u))
+                     for cut in minimal_separating_sets(g.n, g.edges, u, v)]
+                    for u, v in pairs]
+        for pattern in CUT_PATTERNS:
+            check = DisconnCheck(g, pattern)
+            for s in restricted_growth_strings(g.m, min(g.m, 4)):
+                sides = [next((side for cut, side in family
+                               if cut_satisfies(g.edges, cut, s,
+                                                pattern.value)), None)
+                         for family in families]
+                got = check.witnesses(s)
+                if None in sides:
+                    assert got is None, (g, pattern, s)
+                else:
+                    assert [(w.u, w.v, w.side) for w in got] == [
+                        (u, v, side) for (u, v), side in zip(pairs, sides)
+                    ], (g, pattern, s)
 
 
 def test_adjacent_checker_accepts_exactly_the_proper_rainbow_strings():
