@@ -130,15 +130,11 @@ class PathSearch:
             raise ValueError("coloring length differs from edge count")
         if u == v:
             return Path((u,), ())
-        if pattern is Pattern.MONOCHROMATIC:
+        if pattern is _MONOCHROMATIC:
             return self._find_mono(colors, u, v)
         out = []
         self._walk(colors, u, v, pattern, 1 << u, [u], [], out, True)
         return out[0] if out else None
-
-    def exists(self, colors: Sequence, u: int, v: int,
-               pattern: Pattern) -> bool:
-        return self.find(colors, u, v, pattern) is not None
 
     def _find_mono(self, colors, u, v) -> Optional[Path]:
         for c in sorted(set(colors)):

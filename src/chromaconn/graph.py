@@ -394,18 +394,6 @@ def uv_bipartitions(graph: Graph, u: int, v: int):
         yield tuple(sorted(side)), cut
 
 
-def enumerate_uv_cuts(graph: Graph, u: int, v: int) -> Iterator:
-    """Crossing cuts of every bipartition separating u from v, as frozensets.
-
-    Every yielded set is a u-v edge cut, and every u-v edge cut contains at
-    least one yielded set (take the crossing cut of u's component after
-    removal), so minimizing cardinality over this stream gives the minimum
-    u-v cut size.
-    """
-    for _, cut in uv_bipartitions(graph, u, v):
-        yield frozenset(cut)
-
-
 # ---------------------------------------------------------------------------
 # derived graphs
 

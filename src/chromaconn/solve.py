@@ -1,4 +1,4 @@
-"""Exact optimization of connection and disconnection colorings.
+"""Exact optimization and counting of connection and disconnection colorings.
 
 Search space is canonical colorings (restricted growth strings), surjective at
 each palette size t.  Minimizing patterns scan t upward from a lower bound,
@@ -6,20 +6,21 @@ the maximizing (monochromatic) pattern scans t downward from an upper bound;
 the first feasible t is optimal because any coloring with exactly t' distinct
 colors is enumerated at t'.  Within the optimal t the first feasible string in
 lexicographic order is returned, so results are deterministic.  All three
-optimizers run this search through one loop, _optimize, and differ only in
-their preconditions, their t-scan, their leaf test and their forward checker;
-count_colorings enumerates without a t-scan or early exit.
+optimizers run this search through _optimize and differ only in their
+preconditions, their t-scan, their leaf test and their forward checker.
+count_colorings runs the same walk over t = 1..min(palette, m) without an
+early exit and weights each feasible string by its labelings.
 
-_optimize walks restricted-growth prefixes depth first, coloring edges in
-index order and trying values in increasing order, so complete strings
-arrive in the order of restricted_growth_strings(m, t, surjective=True).  A
-forward checker may reject a prefix as soon as an edge is colored, which cuts
-its whole subtree; it only rejects prefixes that no completion could make
-feasible, so the first accepted string is the same as without it.  The
-disconnection numbers pass their table of pair cut families
-(verify.DisconnCheck, which also certifies the accepted string),
-proper-rainbow connection a checker for "adjacent edges differ"; the
-connection numbers pass none.
+_search is the one walk.  It visits restricted-growth prefixes depth first,
+coloring edges in index order and trying values in increasing order, so
+complete strings arrive in the order of restricted_growth_strings(m, t,
+surjective=True).  A forward checker may reject a prefix as soon as an edge
+is colored, which cuts its whole subtree; it only rejects prefixes that no
+completion could make feasible, so the first accepted string is the same as
+without it.  The disconnection numbers and counts pass their table of pair
+cut families (verify.DisconnCheck, which also certifies the accepted
+string), proper-rainbow connection a checker for "adjacent edges differ";
+the connection numbers and counts pass none.
 
 One node of work is a complete string tested or a prefix rejected.  Runtimes
 are exponential; a budget of nodes turns an over-large instance into an
@@ -30,8 +31,10 @@ visits has a node below it, so a node costs at most m prefix steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import perm
 from typing import Optional
 
+# restricted_growth_strings: no caller, kept for perfbench/tracing.py's patch
 from .coloring import EdgeColoring, Pattern, restricted_growth_strings
 from .graph import (Graph, diameter, is_connected, line_graph,
                     max_disjoint_paths, write_graph6)
@@ -124,24 +127,21 @@ def _trivial_result(pattern_name: str, kind: str, objective: str,
     return SolveResult(0, EdgeColoring((), 0), cert, 0, objective)
 
 
-def _optimize(m: int, ts, feasible, make_certificate, objective: str,
-              budget: Optional[int], checker=None) -> SolveResult:
-    """The one search loop: the first t in ts, and within it the first
-    canonical string, that the checker keeps and that passes feasible.
+def _search(m: int, ts, checker, budget: Optional[int], leaf):
+    """The one prefix walk: for each t in ts, the restricted-growth strings
+    of length m with exactly t colors, depth first in value order.
 
     checker, if given, has an initial state and extend(i, prefix, state),
     called right after prefix[i] is colored with the state of prefix[:i]; it
     returns the state of prefix[:i+1], or None to reject that prefix and its
     subtree.  The walk keeps one state per depth, so backtracking restores
-    it.  feasible(colors) tests each complete string the checker kept (None
-    accepts it); colors is the walk's own list, valid during the call.
-    make_certificate(colors) builds the witnesses of the accepted string.
-    Every complete string tested and every prefix rejected is one node
-    counted against the budget.
+    it.  leaf(t, colors) gets each complete string the checker kept (colors
+    is the walk's own list); a true result stops the walk.  Every string
+    handed to leaf and every prefix rejected is one node against the budget.
+    Returns (t, colors, nodes) where leaf stopped, colors None if it never did.
     """
     prefix = [0] * m
     nodes = 0
-    t = 0
 
     def walk(i: int, used: int, state) -> bool:
         nonlocal nodes
@@ -161,7 +161,7 @@ def _optimize(m: int, ts, feasible, make_certificate, objective: str,
             nodes += 1
             if budget is not None and nodes > budget:
                 raise BudgetExceededError(budget, nodes - 1, t)
-            if nstate is not None and (feasible is None or feasible(prefix)):
+            if nstate is not None and leaf(t, prefix):
                 return True
         return False
 
@@ -169,14 +169,26 @@ def _optimize(m: int, ts, feasible, make_certificate, objective: str,
     try:
         for t in ts:
             if walk(0, 0, initial):
-                colors = tuple(prefix)
-                return SolveResult(t, EdgeColoring(colors, t),
-                                   make_certificate(colors), nodes, objective)
+                return t, tuple(prefix), nodes
     finally:
         # walk's closure refers to walk: a reference cycle that would keep
         # the checker's tables alive until the cyclic collector runs
         del walk
-    raise AssertionError("search space exhausted unexpectedly")
+    return None, None, nodes
+
+
+def _optimize(m: int, ts, feasible, make_certificate, objective: str,
+              budget: Optional[int], checker=None) -> SolveResult:
+    """The first t in ts, and within it the first canonical string, that
+    the checker keeps and that passes feasible(colors) (None accepts all);
+    make_certificate(colors) builds the witnesses of that string."""
+    t, colors, nodes = _search(
+        m, ts, checker, budget,
+        lambda t, colors: feasible is None or feasible(colors))
+    if colors is None:
+        raise AssertionError("search space exhausted unexpectedly")
+    return SolveResult(t, EdgeColoring(colors, t), make_certificate(colors),
+                       nodes, objective)
 
 
 class _AdjacentEdgesDiffer:
@@ -300,9 +312,14 @@ def count_colorings(graph: Graph, pattern: Pattern, t: int,
     """Number of labeled colorings (all t^m maps, not canonical classes)
     satisfying the connection/disconnection property.
 
-    Enumerates canonical classes and weights each feasible class with the
-    number of its labelings, t (t-1) ... (t-j+1) for j distinct colors, which
-    is exact because the properties are invariant under renaming colors.
+    Walks the canonical classes band by band, j = 1..min(t, m) distinct
+    colors, and weights each feasible class with the number of its
+    labelings, t (t-1) ... (t-j+1), which is exact because the properties
+    are invariant under renaming colors.  Connected counts test every string
+    (ConnCheck); disconnected counts forward-check prefixes with the pair cut
+    families (DisconnCheck), so every string they reach is feasible.  Nodes
+    and budget are those of _search: a complete string tested or a prefix
+    rejected; BudgetExceededError names the requested t.
     """
     if t < 1:
         raise ValueError("palette size t must be >= 1")
@@ -315,25 +332,22 @@ def count_colorings(graph: Graph, pattern: Pattern, t: int,
     m = graph.m
     if m == 0:
         return 1  # the empty coloring; both properties hold vacuously
+    top = min(t, m)
+    hits = [0] * (top + 1)  # feasible canonical strings per band j
     if prop == "connected":
-        checker = ConnCheck(graph)
-        test = lambda colors: checker.connected(colors, pattern)
+        checker, conn = None, ConnCheck(graph)
+        test = lambda colors: conn.connected(colors, pattern)
     else:
-        checker = DisconnCheck(graph, pattern)
-        test = checker.disconnected
-    total = 0
-    nodes = 0
-    for colors in restricted_growth_strings(m, min(t, m)):
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise BudgetExceededError(budget, nodes - 1, t)
+        checker, test = DisconnCheck(graph, pattern), lambda colors: True
+
+    def leaf(j, colors):  # returns None, so the walk never stops
         if test(colors):
-            j = max(colors) + 1
-            weight = 1
-            for i in range(j):
-                weight *= t - i
-            total += weight
-    return total
+            hits[j] += 1
+    try:
+        _search(m, range(1, top + 1), checker, budget, leaf)
+    except BudgetExceededError as err:
+        raise BudgetExceededError(budget, err.explored, t) from None
+    return sum(hits[j] * perm(t, j) for j in range(1, top + 1))
 
 
 def result_to_dict(graph: Graph, result: SolveResult, pattern_name: str,

@@ -153,9 +153,9 @@ class ConnCheck:
         )
 
     def connected(self, colors: Sequence, pattern: Pattern) -> bool:
-        exists = self.search.exists
+        find = self.search.find
         for u, v in self.nonadjacent:
-            if not exists(colors, u, v, pattern):
+            if find(colors, u, v, pattern) is None:
                 return False
         return True
 
@@ -355,6 +355,7 @@ class DisconnCheck:
                 break
         return live
 
+    # no caller in the package; perfbench/tracing.py patches it by name
     def disconnected(self, colors: Sequence) -> bool:
         return self._live(colors) is not None
 
@@ -464,7 +465,7 @@ def _valid_path(graph: Graph, colors, u, v, vs, pattern: Pattern) -> bool:
         return False
     if len(set(vs)) != len(vs):
         return False
-    if any(not isinstance(x, int) or not (0 <= x < graph.n) for x in vs):
+    if any(not _is_int(x) or not (0 <= x < graph.n) for x in vs):
         return False
     eidx = []
     for a, b in zip(vs, vs[1:]):
@@ -500,7 +501,8 @@ def _verify(graph: Graph, coloring: EdgeColoring, cert: Certificate) -> bool:
     for w in cert.pairs:
         if not isinstance(w, PairWitness):
             return False
-        if not (0 <= w.u < graph.n and 0 <= w.v < graph.n) or w.u == w.v:
+        if not (_is_int(w.u) and _is_int(w.v) and 0 <= w.u < graph.n
+                and 0 <= w.v < graph.n) or w.u == w.v:
             return False
         key = (w.u, w.v) if w.u < w.v else (w.v, w.u)
         if key in covered:
@@ -521,7 +523,7 @@ def _verify(graph: Graph, coloring: EdgeColoring, cert: Certificate) -> bool:
                 return False
             side = set(w.side)
             if not side or not all(
-                isinstance(x, int) and 0 <= x < graph.n for x in side
+                _is_int(x) and 0 <= x < graph.n for x in side
             ):
                 return False
             if w.u not in side or w.v in side:
@@ -550,7 +552,7 @@ def _verify(graph: Graph, coloring: EdgeColoring, cert: Certificate) -> bool:
         want = 1
         mode = None
     else:
-        if not isinstance(cert.k, int) or cert.k < 1:
+        if not _is_int(cert.k) or cert.k < 1:
             return False
         if cert.mode not in ("edge", "vertex"):
             return False

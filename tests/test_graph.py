@@ -30,7 +30,6 @@ from chromaconn.graph import (
     canonical_form,
     contract_edge,
     delete_edge,
-    enumerate_uv_cuts,
     uv_bipartitions,
 )
 
@@ -186,8 +185,6 @@ def test_crossing_cut_and_bipartitions():
         for e in cut_edges:
             a, b = g.edges[e]
             assert (a in side) != (b in side)
-    cuts = list(enumerate_uv_cuts(g, 0, 2))
-    assert len(cuts) == 4
 
 
 # ------------------------------------------------------------ local moves

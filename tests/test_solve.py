@@ -194,6 +194,27 @@ def test_count_known_values():
     assert count_colorings(build_graph(1, []), Pattern.RAINBOW, 3) == 1
 
 
+def test_count_budget_counts_nodes_of_the_walk():
+    k4 = complete_graph(4)
+    # disconnected counts forward-check prefixes: 27 nodes, 3 colorings
+    assert count_colorings(k4, Pattern.MONOCHROMATIC, 3, prop="disconnected",
+                           budget=27) == 3
+    with pytest.raises(BudgetExceededError) as err:
+        count_colorings(k4, Pattern.MONOCHROMATIC, 3, prop="disconnected",
+                        budget=26)
+    assert err.value.explored == 26 and err.value.t == 3
+    # connected counts test every string with at most t colors:
+    # S(6,1) + S(6,2) + S(6,3) = 1 + 31 + 90
+    count_colorings(k4, Pattern.RAINBOW, 3, budget=122)
+    with pytest.raises(BudgetExceededError) as err:
+        count_colorings(k4, Pattern.RAINBOW, 3, budget=121)
+    assert err.value.explored == 121
+    # the error names the requested palette, not the band searched
+    with pytest.raises(BudgetExceededError) as err:
+        count_colorings(path_graph(3), Pattern.RAINBOW, 5, budget=1)
+    assert err.value.t == 5
+
+
 def test_count_validation():
     with pytest.raises(ValueError):
         count_colorings(path_graph(3), Pattern.RAINBOW, 0)

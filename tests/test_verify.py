@@ -13,7 +13,9 @@ from chromaconn import (
     certificate_to_dict,
     complete_graph,
     connected_graphs_up_to,
+    connection_number,
     cycle_graph,
+    disconnection_number,
     is_pattern_connected,
     is_pattern_disconnected,
     is_pattern_k_connected,
@@ -263,6 +265,38 @@ def test_verify_handles_malformed_without_raising():
     assert not verify_certificate(g, ec, None)
     assert not verify_certificate(
         g, ec, Certificate("connection", "rainbow", ("junk",)))
+
+
+def _swap_zero(vertices):
+    return tuple(False if x == 0 else x for x in vertices)
+
+
+def test_verify_rejects_booleans_as_integers():
+    # certificate_from_dict rejects JSON booleans; so must the Python API,
+    # though False == 0 and True == 1
+    g = cycle_graph(4)
+    r = connection_number(g, Pattern.RAINBOW)
+    ec, cert = r.optimal_coloring, r.certificate
+    assert verify_certificate(
+        g, ec, Certificate("k_connection", "rainbow", cert.pairs, k=1,
+                           mode="edge"))
+    assert not verify_certificate(
+        g, ec, Certificate("k_connection", "rainbow", cert.pairs, k=True,
+                           mode="edge"))
+    w = cert.pairs[0]
+    assert w.u == 0 and w.paths[0][0] == 0
+    for fake in (PairWitness(False, w.v, w.paths),
+                 PairWitness(w.u, w.v, (_swap_zero(w.paths[0]),))):
+        assert not verify_certificate(
+            g, ec, Certificate(cert.kind, cert.pattern,
+                               (fake,) + cert.pairs[1:]))
+    r = disconnection_number(g, Pattern.RAINBOW)
+    ec, cert = r.optimal_coloring, r.certificate
+    w = cert.pairs[0]
+    assert 0 in w.side
+    fake = PairWitness(w.u, w.v, None, _swap_zero(w.side))
+    assert not verify_certificate(
+        g, ec, Certificate(cert.kind, cert.pattern, (fake,) + cert.pairs[1:]))
 
 
 @pytest.mark.parametrize("name", ["_valid_path", "_cut_ok"])
