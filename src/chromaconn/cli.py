@@ -127,17 +127,20 @@ def _input_lines(args) -> Iterator[str]:
     if getattr(args, "graph", None) is not None:
         yield args.graph
         return
-    if getattr(args, "file", None) is not None:
-        with open(args.file, "r", encoding="ascii") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    yield line
-        return
-    for line in sys.stdin:
-        line = line.strip()
-        if line:
-            yield line
+    path = getattr(args, "file", None)
+    try:
+        source = sys.stdin if path is None else open(path)
+    except OSError as exc:
+        print(f"error: cannot open {path}: {exc.strerror}", file=sys.stderr)
+        raise SystemExit(EXIT_INPUT)
+    # stdin and --file decode alike whatever the locale, so piping equals a
+    # file; a byte that is not UTF-8 reaches the graph6 parser as a surrogate
+    source.reconfigure(encoding="utf-8", errors="surrogateescape")
+    with source:
+        for line in source:
+            line = line.strip()
+            if line:
+                yield line
 
 
 def _parse_pattern(name: str) -> str:

@@ -17,10 +17,10 @@ complete strings arrive in the order of restricted_growth_strings(m, t,
 surjective=True).  A forward checker may reject a prefix as soon as an edge
 is colored, which cuts its whole subtree; it only rejects prefixes that no
 completion could make feasible, so the first accepted string is the same as
-without it.  The disconnection numbers and counts pass their table of pair
-cut families (verify.DisconnCheck, which also certifies the accepted
-string), proper-rainbow connection a checker for "adjacent edges differ";
-the connection numbers and counts pass none.
+without it.  Every forward checker is a verify.DisconnCheck table of pair
+cut families (disconnection) or of path and star families
+(_connection_checks), and every string it keeps is feasible; conflict-free
+connection and k >= 2 pass none and test each complete string.
 
 One node of work is a complete string tested or a prefix rejected.  Runtimes
 are exponential; a budget of nodes turns an over-large instance into an
@@ -36,8 +36,9 @@ from typing import Optional
 
 # restricted_growth_strings: no caller, kept for perfbench/tracing.py's patch
 from .coloring import EdgeColoring, Pattern, restricted_growth_strings
-from .graph import (Graph, diameter, is_connected, line_graph,
-                    max_disjoint_paths, write_graph6)
+# max_disjoint_paths: no caller, kept for perfbench/tracing.py's patch
+from .graph import (Graph, diameter, is_connected, max_disjoint_paths,
+                    write_graph6)
 from .local import is_proper_edge_coloring
 from .verify import (
     PROPER_RAINBOW,
@@ -46,6 +47,7 @@ from .verify import (
     CUT_PATTERNS,
     DisconnCheck,
     KConnCheck,
+    _check_k_connected,
     certificate_to_dict,
 )
 
@@ -81,23 +83,6 @@ class SolveResult:
     certificate: Certificate
     nodes_explored: int
     objective: str
-
-
-def _check_k_connected(graph: Graph, k: int, mode: str):
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if mode not in ("edge", "vertex"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if graph.n <= 1 or k == 1:
-        return  # k=1 is plain connectivity, checked separately
-    for u in range(graph.n):
-        for v in range(u + 1, graph.n):
-            have = max_disjoint_paths(graph, u, v, mode)[0]
-            if have < k:
-                raise ValueError(
-                    f"graph is not {k}-{mode}-connected: pair ({u},{v}) "
-                    f"supports only {have} disjoint paths"
-                )
 
 
 def bounds(graph: Graph, pattern: Pattern, k: int = 1,
@@ -191,23 +176,24 @@ def _optimize(m: int, ts, feasible, make_certificate, objective: str,
                        nodes, objective)
 
 
-class _AdjacentEdgesDiffer:
-    """Forward checker for proper edge colorings: edge i must differ from
-    every earlier edge sharing an endpoint.  Stateless."""
-
-    initial = 0
-
-    def __init__(self, graph: Graph):
-        self.earlier = [[] for _ in range(graph.m)]
-        for f, i in line_graph(graph).edges:
-            self.earlier[i].append(f)
-
-    def extend(self, i: int, prefix, state):
-        c = prefix[i]
-        for f in self.earlier[i]:
-            if prefix[f] == c:
-                return None
-        return state
+def _connection_checks(graph: Graph, pattern, k: int = 1,
+                       mode: str = "edge"):
+    """(tester, checker, feasible) of a connection search for a Pattern or
+    PROPER_RAINBOW; tester gives the witnesses.  The checker of one
+    rainbow, proper or monochromatic path per pair is the table of the
+    nonadjacent pairs' simple paths, for proper-rainbow also each vertex's
+    star under the rainbow rule, and every string it keeps is feasible.
+    Conflict-free paths die only when fully colored, so conflict-free and
+    k >= 2 pass no checker and test each leaf."""
+    tester = ConnCheck(graph) if k == 1 else KConnCheck(graph, k, mode)
+    if k > 1 or pattern is Pattern.CONFLICT_FREE:
+        return tester, None, lambda colors: tester.connected(colors, pattern)
+    families = tester.path_families()
+    if pattern == PROPER_RAINBOW:
+        pattern = Pattern.RAINBOW
+        families += [[tuple(sorted(e for _, e in nbrs))]
+                     for nbrs in graph.adjacency()]
+    return tester, DisconnCheck(graph, pattern, families), None
 
 
 def connection_number(graph: Graph, pattern: Pattern, k: int = 1,
@@ -228,16 +214,16 @@ def connection_number(graph: Graph, pattern: Pattern, k: int = 1,
     if graph.n == 1:
         return _trivial_result(pattern.value, kind, objective, cert_k,
                                cert_mode)
-    checker = ConnCheck(graph) if k == 1 else KConnCheck(graph, k, mode)
+    tester, checker, feasible = _connection_checks(graph, pattern, k, mode)
     m = graph.m
     ts = (range(max(1, b.lower), m + 1) if objective == "min"
           else range(m, 0, -1))
     return _optimize(
-        m, ts, lambda colors: checker.connected(colors, pattern),
+        m, ts, feasible,
         lambda colors: Certificate(kind, pattern.value,
-                                   checker.witnesses(colors, pattern),
+                                   tester.witnesses(colors, pattern),
                                    k=cert_k, mode=cert_mode),
-        objective, budget)
+        objective, budget, checker)
 
 
 def disconnection_number(graph: Graph, pattern: Pattern,
@@ -292,16 +278,15 @@ def proper_rainbow_connection_number(graph: Graph,
         raise ValueError("connection numbers require a connected graph")
     if graph.n == 1:
         return _trivial_result(PROPER_RAINBOW, "connection", "min")
-    checker = ConnCheck(graph)
+    tester, checker, _ = _connection_checks(graph, PROPER_RAINBOW)
     m = graph.m
     maxdeg = max(graph.degree(v) for v in range(graph.n))
     lower = max(1, diameter(graph), maxdeg)
     result = _optimize(
-        m, range(lower, m + 1),
-        lambda colors: checker.connected(colors, Pattern.RAINBOW),
+        m, range(lower, m + 1), None,
         lambda colors: Certificate("connection", PROPER_RAINBOW,
-                                   checker.witnesses(colors, Pattern.RAINBOW)),
-        "min", budget, _AdjacentEdgesDiffer(graph))
+                                   tester.witnesses(colors, Pattern.RAINBOW)),
+        "min", budget, checker)
     assert is_proper_edge_coloring(graph, result.optimal_coloring)
     return result
 
@@ -315,11 +300,13 @@ def count_colorings(graph: Graph, pattern: Pattern, t: int,
     Walks the canonical classes band by band, j = 1..min(t, m) distinct
     colors, and weights each feasible class with the number of its
     labelings, t (t-1) ... (t-j+1), which is exact because the properties
-    are invariant under renaming colors.  Connected counts test every string
-    (ConnCheck); disconnected counts forward-check prefixes with the pair cut
-    families (DisconnCheck), so every string they reach is feasible.  Nodes
-    and budget are those of _search: a complete string tested or a prefix
-    rejected; BudgetExceededError names the requested t.
+    are invariant under renaming colors.  Disconnected counts forward-check
+    prefixes with the pair cut families, and rainbow, proper and
+    monochromatic connected counts with the pair path families
+    (DisconnCheck), so every string they reach is feasible; conflict-free
+    connected counts test every string (ConnCheck).  Nodes and budget are
+    those of _search: a complete string tested or a prefix rejected;
+    BudgetExceededError names the requested t.
     """
     if t < 1:
         raise ValueError("palette size t must be >= 1")
@@ -335,13 +322,12 @@ def count_colorings(graph: Graph, pattern: Pattern, t: int,
     top = min(t, m)
     hits = [0] * (top + 1)  # feasible canonical strings per band j
     if prop == "connected":
-        checker, conn = None, ConnCheck(graph)
-        test = lambda colors: conn.connected(colors, pattern)
+        _, checker, test = _connection_checks(graph, pattern)
     else:
-        checker, test = DisconnCheck(graph, pattern), lambda colors: True
+        checker, test = DisconnCheck(graph, pattern), None
 
     def leaf(j, colors):  # returns None, so the walk never stops
-        if test(colors):
+        if test is None or test(colors):
             hits[j] += 1
     try:
         _search(m, range(1, top + 1), checker, budget, leaf)

@@ -152,6 +152,14 @@ class ConnCheck:
             key=lambda p: (-dist[p], p),
         )
 
+    def path_families(self):
+        """The simple paths of each nonadjacent pair as sorted edge tuples,
+        the families of a DisconnCheck connection table."""
+        every = range(self.graph.m)  # all colors distinct: all paths rainbow
+        return [[tuple(sorted(p.edges)) for p in
+                 self.search.all_pattern_paths(every, u, v, _RAINBOW)]
+                for u, v in self.nonadjacent]
+
     def connected(self, colors: Sequence, pattern: Pattern) -> bool:
         find = self.search.find
         for u, v in self.nonadjacent:
@@ -260,75 +268,81 @@ def _cut_ok(colors, cut, adjacent, pattern: Pattern) -> bool:
 
 
 class DisconnCheck:
-    """Pattern-cut separability of one graph's colorings, for one cut
-    pattern; also the forward checker of solve._optimize.
+    """Table of edge-set families under one of the rainbow, proper and
+    monochromatic rules: a coloring passes when every family keeps a member
+    that fits.  It tests and certifies disconnection, and it is the forward
+    checker of solve._search for cuts, paths and stars.
 
-    For each pair only bipartition crossing cuts are scanned.  That is
-    complete: any separating edge set contains the crossing cut of the
-    u-component after removal, and rainbow/proper/monochromatic are all
-    preserved by passing to subsets.  cuts[k] lists pair k's distinct cuts
-    as (cut, side, bit), sorted by (size, edges): side is the u-side of the
-    cut's first bipartition, bit its place in the pool of all pairs' cuts.
+    families defaults to the pair cut families, and then cuts[k] lists pair
+    k's distinct cuts as (cut, side), sorted by (size, edges), side being
+    the u-side of the cut's first bipartition.  Bipartition crossing cuts
+    suffice: any separating edge set contains the crossing cut of the
+    u-component after removal, and the three rules are preserved by passing
+    to subsets.  Given families, lists of sorted edge tuples, replace the
+    cuts; an empty list constrains nothing.  The edges of a simple path that
+    share an endpoint are its consecutive ones, so the proper rule is the
+    proper-path rule, and a one-member family holding a vertex's star,
+    under the rainbow rule, says its edges differ.
 
-    Edges are colored in index order, and the state of a colored prefix is
-    the bitmask of pooled cuts still alive.  Rainbow, proper and
-    monochromatic are pairwise constraints between the edges of a cut, so
-    when edge i gets its color it is compared with the cut's earlier edges
-    only: with every earlier edge (rainbow), with every earlier edge sharing
-    an endpoint (proper), or with the cut's first edge (monochromatic,
-    equality being transitive).  A failed comparison kills the cut for every
-    completion of the prefix, and a prefix is rejected as soon as some pair
-    has no live cut.  A complete coloring that survives has a live, fully
-    compared, hence fitting cut for every pair.
-
-    rows[i] lists (f, mask), mask being the cuts in which edge i is compared
-    with edge f < i.  A cut dies when the colors of i and f are equal
-    (rainbow, proper) or differ (monochromatic).  disconnected and witnesses
-    fold extend over a whole coloring; a pair's witness is the side of its
-    first live cut.
+    Members are pooled, one bit each, and the state of a colored prefix
+    (edges are colored in index order) is the bitmask of members still
+    alive.  The rules are pairwise constraints, so when edge i gets its
+    color it is compared with a member's earlier edges only: with every one
+    (rainbow), with those sharing an endpoint (proper), or with the first
+    (monochromatic, equality being transitive).  rows[i] lists (f, mask),
+    mask being the members comparing edge i with edge f < i; they die when
+    the colors are equal (rainbow, proper) or differ (monochromatic), for
+    every completion of the prefix.  A prefix is rejected as soon as a
+    family has no live member, so a complete coloring that survives has a
+    fully compared, hence fitting, member in every family.  disconnected
+    and witnesses fold extend over a whole coloring; a pair's witness is the
+    side of its first live cut.
     """
 
-    def __init__(self, graph: Graph, pattern: Pattern):
+    def __init__(self, graph: Graph, pattern: Pattern, families=None):
         if pattern not in CUT_PATTERNS:
             raise ValueError(f"pattern {pattern.value} has no cut form")
         self.graph = graph
         self.pattern = pattern
         self.pairs = _all_pairs(graph.n)
-        bit = {}      # distinct cut -> its bit
-        compare = {}  # (f, i) with f < i -> mask of cuts comparing i with f
-        self.cuts = []
-        self.pair_masks = []
-        for u, v in self.pairs:
-            sides = {}
-            for side, cut in uv_bipartitions(graph, u, v):
-                sides.setdefault(cut, side)
+        self.cuts = None  # pair cut families only: witnesses need them
+        if families is None:
+            families, self.cuts = [], []
+            for u, v in self.pairs:
+                sides = {}
+                for side, cut in uv_bipartitions(graph, u, v):
+                    sides.setdefault(cut, side)
+                # small first: a pair's first live cut is its witness
+                family = sorted(sides, key=lambda c: (len(c), c))
+                families.append(family)
+                self.cuts.append([(cut, sides[cut]) for cut in family])
+        self.bit = {}  # distinct member -> its bit
+        compare = {}   # (f, i) with f < i -> mask of members comparing i, f
+        self.family_masks = []
+        for family in families:
             mask = 0
-            entries = []
-            # small first: a pair's first live cut is its witness
-            for cut in sorted(sides, key=lambda c: (len(c), c)):
-                b = bit.get(cut)
+            for s in family:
+                b = self.bit.get(s)
                 if b is None:
-                    b = bit[cut] = len(bit)
+                    b = self.bit[s] = len(self.bit)
                     if pattern is _MONOCHROMATIC:
-                        pairs = [(cut[0], e) for e in cut[1:]]
+                        pairs = [(s[0], e) for e in s[1:]]
                     elif pattern is _RAINBOW:
-                        pairs = combinations(cut, 2)
+                        pairs = combinations(s, 2)
                     else:
-                        pairs = _cut_adjacent_pairs(graph, cut)
+                        pairs = _cut_adjacent_pairs(graph, s)
                     for fi in pairs:
                         compare[fi] = compare.get(fi, 0) | 1 << b
                 mask |= 1 << b
-                entries.append((cut, sides[cut], b))
-            self.cuts.append(entries)
-            self.pair_masks.append(mask)
-        self.initial = (1 << len(bit)) - 1
+            self.family_masks.append(mask)
+        self.initial = (1 << len(self.bit)) - 1
         self.rows = [[] for _ in range(graph.m)]
         for (f, i), mask in compare.items():
             self.rows[i].append((f, mask))
 
     def extend(self, i: int, prefix, live: int):
-        """State after coloring edge i, or None when some pair lost its last
-        cut."""
+        """State after coloring edge i, or None when some family lost its
+        last member."""
         c = prefix[i]
         dead = 0
         if self.pattern is _MONOCHROMATIC:
@@ -342,7 +356,7 @@ class DisconnCheck:
         if not dead & live:
             return live
         live &= ~dead
-        for mask in self.pair_masks:
+        for mask in self.family_masks:
             if not live & mask:
                 return None
         return live
@@ -367,7 +381,7 @@ class DisconnCheck:
             return None
         out = []
         for (u, v), entries in zip(self.pairs, self.cuts):
-            side = next(s for _, s, b in entries if live >> b & 1)
+            side = next(s for cut, s in entries if live >> self.bit[cut] & 1)
             out.append(PairWitness(u, v, side=side))
         return tuple(out)
 
@@ -383,6 +397,22 @@ def _require_connected(graph: Graph):
 def _check_coloring(graph: Graph, coloring: EdgeColoring):
     if len(coloring.colors) != graph.m:
         raise ValueError("coloring length differs from edge count")
+
+
+def _check_k_connected(graph: Graph, k: int, mode: str):
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if mode not in ("edge", "vertex"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if graph.n <= 1 or k == 1:
+        return  # k=1 is plain connectivity, checked separately
+    for u, v in _all_pairs(graph.n):
+        have = max_disjoint_paths(graph, u, v, mode)[0]
+        if have < k:
+            raise ValueError(
+                f"graph is not {k}-{mode}-connected: pair ({u},{v}) "
+                f"supports only {have} disjoint paths"
+            )
 
 
 def is_pattern_connected(graph: Graph, coloring: EdgeColoring,
@@ -408,13 +438,7 @@ def is_pattern_k_connected(graph: Graph, coloring: EdgeColoring,
     _require_connected(graph)
     _check_coloring(graph, coloring)
     checker = KConnCheck(graph, k, mode)
-    for u, v in checker.pairs:
-        have = max_disjoint_paths(graph, u, v, mode)[0]
-        if have < k:
-            raise ValueError(
-                f"graph is not {k}-{mode}-connected: pair ({u},{v}) "
-                f"supports only {have} disjoint paths"
-            )
+    _check_k_connected(graph, k, mode)
     wit = checker.witnesses(coloring.colors, pattern)
     if wit is None:
         return None
@@ -453,12 +477,6 @@ def is_proper_rainbow_connected(graph: Graph,
 
 # ---------------------------------------------------------------------------
 # certificate validation
-
-def _paths_pattern(cert_pattern: str) -> Pattern:
-    if cert_pattern == PROPER_RAINBOW:
-        return Pattern.RAINBOW
-    return Pattern.from_name(cert_pattern)
-
 
 def _valid_path(graph: Graph, colors, u, v, vs, pattern: Pattern) -> bool:
     if not vs or vs[0] != u or vs[-1] != v:
@@ -511,11 +529,9 @@ def _verify(graph: Graph, coloring: EdgeColoring, cert: Certificate) -> bool:
     if covered != set(_all_pairs(graph.n)):
         return False
 
+    # an unknown pattern name raises ValueError: False, via verify_certificate
     if cert.kind == "disconnection":
-        try:
-            pattern = Pattern.from_name(cert.pattern)
-        except ValueError:
-            return False
+        pattern = Pattern.from_name(cert.pattern)
         if pattern not in CUT_PATTERNS:
             return False
         for w in cert.pairs:
@@ -543,10 +559,7 @@ def _verify(graph: Graph, coloring: EdgeColoring, cert: Certificate) -> bool:
             return False
         pattern = Pattern.RAINBOW
     else:
-        try:
-            pattern = Pattern.from_name(cert.pattern)
-        except ValueError:
-            return False
+        pattern = Pattern.from_name(cert.pattern)
 
     if cert.kind == "connection":
         want = 1

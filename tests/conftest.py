@@ -16,9 +16,11 @@ def _run_cli(args, stdin="", env_extra=None):
     env.pop("CHROMA_BUDGET", None)
     if env_extra:
         env.update(env_extra)
+    # bytes in, bytes out: for input that is not text
     return subprocess.run(
         [sys.executable, "-m", "chromaconn", *args],
-        input=stdin, capture_output=True, text=True, env=env)
+        input=stdin, capture_output=True,
+        text=not isinstance(stdin, bytes), env=env)
 
 
 @pytest.fixture

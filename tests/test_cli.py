@@ -274,6 +274,27 @@ def test_pipe_equals_file(run_cli, tmp_path):
     assert piped.stdout == filed.stdout
 
 
+def test_file_and_stdin_fail_alike(run_cli, tmp_path):
+    data = f"{C4}\n\xff\n{K3}\n".encode("latin-1")
+    path = tmp_path / "bad.g6"
+    path.write_bytes(data)
+    piped = run_cli(["compute", "--pattern", "rainbow"], stdin=data)
+    filed = run_cli(["compute", "--pattern", "rainbow", "--file", str(path)],
+                    stdin=b"")
+    assert (piped.returncode, piped.stdout, piped.stderr) == (
+        filed.returncode, filed.stdout, filed.stderr)
+    assert piped.returncode == 1
+    assert len(_json_lines(piped.stdout.decode())) == 2
+    assert piped.stderr.decode().startswith("error: bad graph6")
+    for missing in (tmp_path / "missing.g6", tmp_path):
+        r = run_cli(["compute", "--pattern", "rainbow", "--file",
+                     str(missing)])
+        assert r.returncode == 1
+        assert r.stderr.startswith("error: ")
+        assert len(r.stderr.splitlines()) == 1
+        assert "Traceback" not in r.stderr and r.stdout == ""
+
+
 def test_blank_lines_skipped(run_cli):
     r = run_cli(["compute", "--pattern", "rainbow"],
                 stdin=f"\n{C4}\n\n")

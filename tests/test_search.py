@@ -2,9 +2,9 @@
 
 Without a checker the walk must reach complete strings in the order of
 restricted_growth_strings; with one it must accept exactly the strings that
-the whole-coloring tests accept, so every answer stays the same.  The cut
-checker is measured against the brute-force cut families of oracles.py, as
-its whole-coloring test and its witnesses share its own table.
+the whole-coloring tests accept, so every answer stays the same.  The cut and
+path tables are measured against the brute-force cut and path families of
+oracles.py, as a table's whole-coloring test and its witnesses share it.
 """
 
 import pytest
@@ -24,9 +24,10 @@ from chromaconn import (
 )
 from chromaconn.cli import DEFAULT_BUDGET
 from chromaconn.local import is_proper_edge_coloring
-from chromaconn.solve import _AdjacentEdgesDiffer, _optimize
-from chromaconn.verify import CUT_PATTERNS, ConnCheck, DisconnCheck
-from oracles import (DSU, _disconnected_under, _pair_cut_families, all_pairs,
+from chromaconn.solve import _connection_checks, _optimize
+from chromaconn.verify import CUT_PATTERNS, PROPER_RAINBOW, DisconnCheck
+from oracles import (DSU, _connected_under, _disconnected_under,
+                     _pair_cut_families, _pair_paths, all_pairs,
                      cut_satisfies, minimal_separating_sets)
 
 SMALL = [g for g in connected_graphs_up_to(5) if 1 <= g.m <= 7]
@@ -107,19 +108,30 @@ def test_witnesses_side_with_the_first_fitting_minimal_cut():
                     ], (g, pattern, s)
 
 
+def test_path_table_accepts_exactly_the_connected_strings():
+    for g in SMALL:
+        paths = _pair_paths(g.n, g.edges)
+        for pattern in CUT_PATTERNS:
+            _, checker, feasible = _connection_checks(g, pattern)
+            assert feasible is None
+            # no nonadjacent pair, no family: a complete graph's table
+            # constrains nothing
+            assert (checker.family_masks == []) == (paths == [])
+            for t in range(1, g.m + 1):
+                want = [s for s in restricted_growth_strings(g.m, t, True)
+                        if _connected_under(s, pattern.value, paths)]
+                assert _accepted(g.m, t, lambda s: True, checker) == want
+
+
 def test_adjacent_checker_accepts_exactly_the_proper_rainbow_strings():
     for g in SMALL:
-        check = ConnCheck(g)
-        checker = _AdjacentEdgesDiffer(g)
-
-        def connected(s):
-            return check.connected(s, Pattern.RAINBOW)
-
+        paths = _pair_paths(g.n, g.edges)
+        _, checker, _ = _connection_checks(g, PROPER_RAINBOW)
         for t in range(1, g.m + 1):
             want = [s for s in restricted_growth_strings(g.m, t, True)
                     if is_proper_edge_coloring(g, EdgeColoring(s, g.m))
-                    and connected(s)]
-            assert _accepted(g.m, t, connected, checker) == want
+                    and _connected_under(s, "rainbow", paths)]
+            assert _accepted(g.m, t, lambda s: True, checker) == want
 
 
 def test_k6_solves_with_verified_certificates():

@@ -200,6 +200,10 @@ def test_verify_rejects_structural_damage():
     # wrong kind for the witness shape
     assert not verify_certificate(
         g, ec, Certificate("disconnection", "rainbow", cert.pairs))
+    # unknown pattern name, for either witness shape
+    for kind in ("connection", "disconnection"):
+        assert not verify_certificate(
+            g, ec, Certificate(kind, "sparkly", cert.pairs))
     # coloring length mismatch
     assert not verify_certificate(g, EdgeColoring((0, 1), 2), cert)
 
