@@ -7,7 +7,8 @@ connected graph up to a given order, prints the per-graph table, and then
 summarizes how tight the standard bounds are across the census: how often
 the rainbow value meets its diameter lower bound, how often the
 monochromatic value meets m - n + 2, the value distribution of each column,
-and the extremal graphs per column.
+and the extremal graphs per column.  A solve that exhausts --budget ends
+the run with one error line naming the graph and column, and exit status 2.
 
 Usage:
     python scripts/invariant_table.py --max-n 5
@@ -22,8 +23,9 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 
-from chromaconn import connected_graphs_up_to, diameter, write_graph6
-from chromaconn.cli import TABLE_COLUMNS
+from chromaconn import (BudgetExceededError, connected_graphs_up_to,
+                        diameter, write_graph6)
+from chromaconn.cli import EXIT_BUDGET, TABLE_COLUMNS
 
 
 @dataclass(frozen=True)
@@ -43,13 +45,22 @@ def parse_config(argv=None) -> Config:
     args = parser.parse_args(argv)
     if not 1 <= args.max_n <= 7:
         parser.error("--max-n must be between 1 and 7")
+    if args.budget < 1:
+        parser.error("--budget must be >= 1")
     return Config(max_n=args.max_n, fmt=args.format, budget=args.budget)
 
 
 def invariant_row(graph, budget):
+    """The table row of one graph, or None after an error line on stderr
+    naming the graph and the column that ran out of budget."""
     row = {"graph": write_graph6(graph), "n": graph.n, "m": graph.m}
     for col, solve in TABLE_COLUMNS.items():
-        row[col] = solve(graph, budget=budget).value
+        try:
+            row[col] = solve(graph, budget=budget).value
+        except BudgetExceededError as exc:
+            print(f"error: graph {row['graph']} column {col}: {exc}",
+                  file=sys.stderr)
+            return None
     row["diameter"] = diameter(graph)
     return row
 
@@ -113,8 +124,12 @@ def print_text(rows, summary, out):
 
 def main(argv=None) -> int:
     cfg = parse_config(argv)
-    rows = [invariant_row(g, cfg.budget)
-            for g in connected_graphs_up_to(cfg.max_n)]
+    rows = []
+    for graph in connected_graphs_up_to(cfg.max_n):
+        row = invariant_row(graph, cfg.budget)
+        if row is None:
+            return EXIT_BUDGET
+        rows.append(row)
     summary = summarize(rows)
     if cfg.fmt == "json":
         json.dump({"rows": rows, "summary": summary}, sys.stdout, indent=2)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .coloring import EdgeColoring
+# canonical_form: no caller, kept for perfbench/tracing.py's patch
 from .graph import (
     Graph,
     build_graph,
@@ -131,8 +132,7 @@ def _chrom_connected(g: Graph, memo) -> tuple:
         return _tree_poly(n)
     if m == n * (n - 1) // 2:
         return _falling(n)
-    key = ("c",) + canonical_form(g) if n <= 7 else ("l", n, g.edges)
-    hit = memo.get(key)
+    hit = memo.get(g)
     if hit is not None:
         return hit
     nonedges = n * (n - 1) // 2 - m
@@ -145,12 +145,13 @@ def _chrom_connected(g: Graph, memo) -> tuple:
             _chrom(identify_vertices(g, u, v), memo),
         )
     else:
-        # f(G) = f(G - e) - f(G . e), contraction merging parallel edges
-        e = _cycle_edge(g)
+        # f(G) = f(G - e) - f(G . e), contraction merging parallel edges;
+        # a bridge e leaves G - e in two components, which _chrom multiplies
+        e = m - 1
         val = _psub(
             _chrom(delete_edge(g, e), memo), _chrom(contract_edge(g, e), memo)
         )
-    memo[key] = val
+    memo[g] = val
     return val
 
 
@@ -170,25 +171,6 @@ def _first_nonedge(g: Graph):
     raise AssertionError("no nonedge in incomplete graph")
 
 
-def _cycle_edge(g: Graph) -> int:
-    """Index of an edge lying on a cycle, else the last edge."""
-    for i in range(g.m - 1, -1, -1):
-        a, b = g.edges[i]
-        # does a-b remain connected without edge i?
-        adj = g.adjacency()
-        seen = {a}
-        q = deque([a])
-        while q:
-            x = q.popleft()
-            for y, e in adj[x]:
-                if e != i and y not in seen:
-                    if y == b:
-                        return i
-                    seen.add(y)
-                    q.append(y)
-    return g.m - 1
-
-
 def _chrom(g: Graph, memo) -> tuple:
     parts = list(_components(g))
     if len(parts) == 1:
@@ -202,10 +184,14 @@ def _chrom(g: Graph, memo) -> tuple:
 def chromatic_polynomial(graph: Graph) -> Polynomial:
     """Proper-vertex-coloring counting polynomial by deletion-contraction.
 
-    f(G, k) = f(G - e, k) - f(G . e, k) with edgeless base case k^n; the
-    contraction merges parallel edges.  Components multiply, trees and
-    complete graphs short-circuit, and dense subproblems apply the same
-    identity in the edge-adding direction.  Coefficients are exact ints.
+    f(G, k) = f(G - e, k) - f(G . e, k) with e the last edge and edgeless
+    base case k^n; the contraction merges parallel edges.  Components
+    multiply, so a bridge e splits G - e, and trees and complete graphs
+    short-circuit.  Dense subproblems apply the same identity in the
+    edge-adding direction, f(G) = f(G + uv) + f(G / uv) for the first
+    nonedge uv.  Each connected subproblem is memoized by its Graph, whose
+    sorted edges make equal labeled graphs equal keys.  Coefficients are
+    exact ints.
     """
     return Polynomial(_chrom(graph, {}))
 

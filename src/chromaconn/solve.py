@@ -19,8 +19,8 @@ is colored, which cuts its whole subtree; it only rejects prefixes that no
 completion could make feasible, so the first accepted string is the same as
 without it.  Every forward checker is a verify.DisconnCheck table of pair
 cut families (disconnection) or of path and star families
-(_connection_checks), and every string it keeps is feasible; conflict-free
-connection and k >= 2 pass none and test each complete string.
+(_connection_checks).  Every string it keeps is feasible save at k >= 2, where
+each kept string's k-families are tested; conflict-free tests every string.
 
 One node of work is a complete string tested or a prefix rejected.  Runtimes
 are exponential; a budget of nodes turns an over-large instance into an
@@ -31,6 +31,7 @@ visits has a node below it, so a node costs at most m prefix steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import perm
 from typing import Optional
 
@@ -179,21 +180,23 @@ def _optimize(m: int, ts, feasible, make_certificate, objective: str,
 def _connection_checks(graph: Graph, pattern, k: int = 1,
                        mode: str = "edge"):
     """(tester, checker, feasible) of a connection search for a Pattern or
-    PROPER_RAINBOW; tester gives the witnesses.  The checker of one
-    rainbow, proper or monochromatic path per pair is the table of the
-    nonadjacent pairs' simple paths, for proper-rainbow also each vertex's
-    star under the rainbow rule, and every string it keeps is feasible.
-    Conflict-free paths die only when fully colored, so conflict-free and
-    k >= 2 pass no checker and test each leaf."""
+    PROPER_RAINBOW; tester gives the witnesses.  The checker of rainbow,
+    proper and monochromatic paths is the table of the nonadjacent pairs'
+    simple paths, for proper-rainbow also each vertex's star under the
+    rainbow rule.  It keeps only feasible strings at k = 1, and at k >= 2 a
+    superset, as k disjoint fitting paths include one.  Conflict-free paths
+    die only when fully colored, so conflict-free tests each leaf."""
     tester = ConnCheck(graph) if k == 1 else KConnCheck(graph, k, mode)
-    if k > 1 or pattern is Pattern.CONFLICT_FREE:
-        return tester, None, lambda colors: tester.connected(colors, pattern)
-    families = tester.path_families()
+    test = partial(tester.connected, pattern=pattern)
+    if pattern is Pattern.CONFLICT_FREE:
+        return tester, None, test
+    families = (tester if k == 1 else ConnCheck(graph)).path_families()
     if pattern == PROPER_RAINBOW:
         pattern = Pattern.RAINBOW
         families += [[tuple(sorted(e for _, e in nbrs))]
                      for nbrs in graph.adjacency()]
-    return tester, DisconnCheck(graph, pattern, families), None
+    checker = DisconnCheck(graph, pattern, families)
+    return tester, checker, None if k == 1 else test
 
 
 def connection_number(graph: Graph, pattern: Pattern, k: int = 1,

@@ -9,6 +9,7 @@ from chromaconn import (
     build_graph,
     chromatic_polynomial,
     complete_graph,
+    connected_graphs_up_to,
     cycle_graph,
     edge_chromatic_polynomial,
     evaluate_polynomial,
@@ -98,9 +99,13 @@ def test_edge_chromatic_is_line_graph_chromatic():
         assert edge_chromatic_polynomial(g) == chromatic_polynomial(line_graph(g))
     # proper edge 5-colorings of the 5-clique, a classic count
     assert edge_chromatic_polynomial(complete_graph(5))(5) == 720
-    for t in range(4):
-        assert edge_chromatic_polynomial(cycle_graph(4))(t) == \
-            count_proper_edge_colorings(4, list(cycle_graph(4).edges), t)
+    # every connected graph up to order 5; line graphs reach 10 vertices
+    for g in connected_graphs_up_to(5):
+        f = edge_chromatic_polynomial(g)
+        for t in range(4):
+            assert f(t) == count_proper_edge_colorings(g.n, list(g.edges), t)
+    # the line graph of the 6-clique has 15 vertices: the dense branch
+    assert edge_chromatic_polynomial(complete_graph(6))(5) == 720
 
 
 def test_four_color_check():

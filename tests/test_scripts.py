@@ -33,6 +33,18 @@ def test_invariant_table_matches_cli_table(run_cli):
             {c: rec[c] for c in TABLE_COLUMNS}
 
 
+def test_invariant_table_budget():
+    r = _run_script("invariant_table.py", "--max-n", "4", "--budget", "1")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    # one line naming the graph and column, no traceback
+    assert r.stderr.startswith("error: graph Bo column pc: budget of 1 ")
+    assert r.stderr.count("\n") == 1
+    r = _run_script("invariant_table.py", "--max-n", "4", "--budget", "0")
+    assert r.returncode == 2
+    assert "--budget must be >= 1" in r.stderr
+
+
 def test_counting_profile_runs():
     r = _run_script("counting_profile.py", "--max-n", "4")
     assert r.returncode == 0, r.stderr
