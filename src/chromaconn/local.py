@@ -6,21 +6,15 @@ product whose nonvanishing characterizes proper edge colorings.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import cache
+from itertools import starmap, zip_longest
+from operator import add, sub
+from typing import Sequence
 
 from .coloring import EdgeColoring
 # canonical_form: no caller, kept for perfbench/tracing.py's patch
-from .graph import (
-    Graph,
-    build_graph,
-    canonical_form,
-    contract_edge,
-    delete_edge,
-    identify_vertices,
-    line_graph,
-)
+from .graph import Graph, canonical_form, line_graph
 
 
 @dataclass(frozen=True)
@@ -62,17 +56,11 @@ def evaluate_polynomial(poly: Polynomial, t: int) -> int:
 
 
 def _padd(a, b):
-    n = max(len(a), len(b))
-    return tuple(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-    )
+    return tuple(starmap(add, zip_longest(a, b, fillvalue=0)))
 
 
 def _psub(a, b):
-    n = max(len(a), len(b))
-    return tuple(
-        (a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)
-    )
+    return tuple(starmap(sub, zip_longest(a, b, fillvalue=0)))
 
 
 def _pmul(a, b):
@@ -84,6 +72,8 @@ def _pmul(a, b):
     return tuple(out)
 
 
+# leaf polynomials, cached per vertex count (one immutable tuple per n)
+@cache
 def _falling(n):
     # k (k-1) ... (k-n+1)
     poly = (1,)
@@ -92,69 +82,101 @@ def _falling(n):
     return poly
 
 
-def _components(graph: Graph):
-    seen = [False] * graph.n
-    adj = graph.adjacency()
-    for s in range(graph.n):
-        if seen[s]:
+def _masks(graph: Graph) -> tuple:
+    adj = [0] * graph.n
+    for a, b in graph.edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return tuple(adj)
+
+
+def _components(adj: tuple) -> list:
+    """Each component's masks, relabeled to 0..k-1 keeping vertex order."""
+    n = len(adj)
+    full = (1 << n) - 1
+    rest = full
+    parts = []
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = adj[low.bit_length() - 1] & ~comp
+            comp |= new
+            frontier |= new
+        if comp == full:
+            return [adj]
+        rest &= ~comp
+        verts = [v for v in range(n) if comp >> v & 1]
+        parts.append(tuple(
+            sum(1 << i for i, w in enumerate(verts) if adj[v] >> w & 1)
+            for v in verts
+        ))
+    return parts
+
+
+def _identify(adj: tuple, a: int, b: int) -> tuple:
+    """Merge b into a < b, dropping loops and parallels; vertices above b
+    shift down (as graph.identify_vertices)."""
+    bit_a, bit_b = 1 << a, 1 << b
+    low = bit_b - 1
+    out = []
+    for w, x in enumerate(adj):
+        if w == b:
             continue
-        comp = [s]
-        seen[s] = True
-        q = deque([s])
-        while q:
-            x = q.popleft()
-            for y, _ in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    comp.append(y)
-                    q.append(y)
-        comp.sort()
-        relabel = {v: i for i, v in enumerate(comp)}
-        edges = tuple(
-            sorted(
-                (relabel[a], relabel[b])
-                for (a, b) in graph.edges
-                if a in relabel and b in relabel
-            )
-        )
-        yield Graph(len(comp), edges)
+        if w == a:
+            x = (x | adj[b]) & ~(bit_a | bit_b)
+        elif x & bit_b:
+            x = x ^ bit_b | bit_a
+        out.append(x & low | (x >> 1) & ~low)
+    return tuple(out)
 
 
-def _add_edge(graph: Graph, u: int, v: int) -> Graph:
-    return build_graph(graph.n, list(graph.edges) + [(u, v)])
-
-
-def _chrom_connected(g: Graph, memo) -> tuple:
-    n, m = g.n, g.m
+def _chrom_connected(adj: tuple, memo) -> tuple:
+    n = len(adj)
+    m = sum(map(int.bit_count, adj)) >> 1
     if m == 0:
         return (0,) * n + (1,)
     if m == n - 1:
         return _tree_poly(n)
     if m == n * (n - 1) // 2:
         return _falling(n)
-    hit = memo.get(g)
+    hit = memo.get(adj)
     if hit is not None:
         return hit
+    # G + uv, G / uv and G . e stay connected; only G - e can split
     nonedges = n * (n - 1) // 2 - m
     if nonedges < m:
         # dense: grow toward the complete graph
         # f(G) = f(G + uv) + f(G with u,v identified)
-        u, v = _first_nonedge(g)
+        u, v = _first_nonedge(adj)
+        plus = list(adj)
+        plus[u] |= 1 << v
+        plus[v] |= 1 << u
         val = _padd(
-            _chrom(_add_edge(g, u, v), memo),
-            _chrom(identify_vertices(g, u, v), memo),
+            _chrom_connected(tuple(plus), memo),
+            _chrom_connected(_identify(adj, u, v), memo),
         )
     else:
-        # f(G) = f(G - e) - f(G . e), contraction merging parallel edges;
-        # a bridge e leaves G - e in two components, which _chrom multiplies
-        e = m - 1
+        # f(G) = f(G - e) - f(G . e) for the last edge e = ab in sorted order,
+        # contraction merging parallel edges; a bridge e leaves G - e in two
+        # components, which _chrom multiplies
+        a = n - 2
+        while not adj[a] >> (a + 1):
+            a -= 1
+        b = adj[a].bit_length() - 1
+        minus = list(adj)
+        minus[a] ^= 1 << b
+        minus[b] ^= 1 << a
         val = _psub(
-            _chrom(delete_edge(g, e), memo), _chrom(contract_edge(g, e), memo)
+            _chrom(tuple(minus), memo),
+            _chrom_connected(_identify(adj, a, b), memo),
         )
-    memo[g] = val
+    memo[adj] = val
     return val
 
 
+@cache
 def _tree_poly(n):
     # k (k-1)^(n-1)
     poly = (0, 1)
@@ -163,16 +185,17 @@ def _tree_poly(n):
     return poly
 
 
-def _first_nonedge(g: Graph):
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if not g.has_edge(u, v):
-                return u, v
+def _first_nonedge(adj: tuple):
+    full = (1 << len(adj)) - 1
+    for u, x in enumerate(adj):
+        above = full & ~x & ~((2 << u) - 1)
+        if above:
+            return u, (above & -above).bit_length() - 1
     raise AssertionError("no nonedge in incomplete graph")
 
 
-def _chrom(g: Graph, memo) -> tuple:
-    parts = list(_components(g))
+def _chrom(adj: tuple, memo) -> tuple:
+    parts = _components(adj)
     if len(parts) == 1:
         return _chrom_connected(parts[0], memo)
     poly = (1,)
@@ -189,11 +212,12 @@ def chromatic_polynomial(graph: Graph) -> Polynomial:
     multiply, so a bridge e splits G - e, and trees and complete graphs
     short-circuit.  Dense subproblems apply the same identity in the
     edge-adding direction, f(G) = f(G + uv) + f(G / uv) for the first
-    nonedge uv.  Each connected subproblem is memoized by its Graph, whose
-    sorted edges make equal labeled graphs equal keys.  Coefficients are
-    exact ints.
+    nonedge uv.  The recursion runs on neighbour bitmasks (bit w of adj[v]
+    set iff vw is an edge), and each connected subproblem is memoized by
+    that tuple, which determines the labeled graph as its sorted edge list
+    does.  Coefficients are exact ints.
     """
-    return Polynomial(_chrom(graph, {}))
+    return Polynomial(_chrom(_masks(graph), {}))
 
 
 def edge_chromatic_polynomial(graph: Graph) -> Polynomial:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from chromaconn import (
     EdgeColoring,
+    Graph,
     Polynomial,
     build_graph,
     chromatic_polynomial,
@@ -70,15 +71,53 @@ def test_chromatic_known_values():
     assert f(3) == 36  # (3*2)^2
     assert chromatic_polynomial(complete_graph(5))(4) == 0
     assert chromatic_polynomial(complete_graph(5))(5) == 120
+    assert chromatic_polynomial(Graph(0)).coeffs == (1,)
+
+
+def _assert_pinned(g):
+    # n + 1 values fix a polynomial of degree n, so this pins all of it
+    f = chromatic_polynomial(g)
+    assert f.degree == g.n
+    for t in range(g.n + 1):
+        assert f(t) == count_proper_vertex_colorings(g.n, list(g.edges), t)
 
 
 def test_chromatic_matches_enumeration_small():
     for g in (path_graph(4), cycle_graph(5), complete_graph(4),
               star_graph(3), build_graph(5, [(0, 1), (0, 2), (1, 2), (2, 3),
-                                             (3, 4), (2, 4)])):
-        f = chromatic_polynomial(g)
-        for t in range(4):
-            assert f(t) == count_proper_vertex_colorings(g.n, list(g.edges), t)
+                                             (3, 4), (2, 4)]),
+              *connected_graphs_up_to(5)):
+        _assert_pinned(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_strategy(5))
+def test_chromatic_pinned_on_any_graph(g):
+    # random labeled graphs: disconnected ones and isolated vertices included
+    _assert_pinned(g)
+
+
+@st.composite
+def dense_relabeled(draw, max_n=7):
+    """A graph with fewer nonedges than edges (deletion-contraction takes the
+    dense branch) and the same graph under a random vertex relabeling."""
+    n = draw(st.integers(3, max_n))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    missing = draw(st.sets(st.sampled_from(pairs),
+                           max_size=(len(pairs) - 1) // 2))
+    edges = [p for p in pairs if p not in missing]
+    perm = draw(st.permutations(range(n)))
+    return (build_graph(n, edges),
+            build_graph(n, [(perm[a], perm[b]) for a, b in edges]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense_relabeled())
+def test_chromatic_invariant_under_relabeling(pair):
+    # a memo key that confused two labeled subproblems would make the
+    # answer depend on the labeling
+    g, h = pair
+    assert chromatic_polynomial(g) == chromatic_polynomial(h)
 
 
 @settings(max_examples=60, deadline=None)
