@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import argparse
 import random
-import sys
-from dataclasses import dataclass
 
 from chromaconn import (
     EdgeColoring,
@@ -35,16 +33,10 @@ from chromaconn import (
     nullstellensatz_value,
     write_graph6,
 )
+from chromaconn.cli import print_text_table
 
 
-@dataclass(frozen=True)
-class Config:
-    max_n: int = 6
-    samples: int = 200
-    seed: int = 0
-
-
-def parse_config(argv=None) -> Config:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-n", type=int, default=6,
                         help="largest graph order to include (default 6)")
@@ -55,7 +47,7 @@ def parse_config(argv=None) -> Config:
     args = parser.parse_args(argv)
     if not 1 <= args.max_n <= 6:
         parser.error("--max-n must be between 1 and 6")
-    return Config(max_n=args.max_n, samples=args.samples, seed=args.seed)
+    return args
 
 
 def first_positive(poly, limit):
@@ -124,41 +116,32 @@ def spot_check_products(graph, samples, rng) -> int:
 
 
 def main(argv=None) -> int:
-    cfg = parse_config(argv)
-    rng = random.Random(cfg.seed)
+    args = parse_args(argv)
+    rng = random.Random(args.seed)
     rows = []
     disagreements = 0
-    for graph in connected_graphs_up_to(cfg.max_n):
+    for graph in connected_graphs_up_to(args.max_n):
         rows.append(profile_row(graph))
-        disagreements += spot_check_products(graph, cfg.samples, rng)
+        disagreements += spot_check_products(graph, args.samples, rng)
 
     headers = ("graph", "n", "m", "chromatic_number", "four_colorings",
                "chromatic_index", "max_degree", "edge_class",
                "lemma_threshold")
-    table = [headers] + [tuple(str(r[h]) for h in headers) for r in rows]
-    widths = [max(len(row[i]) for row in table) for i in range(len(headers))]
-    for row in table:
-        sys.stdout.write(
-            "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-        )
-        sys.stdout.write("\n")
+    print_text_table(headers, [[r[h] for h in headers] for r in rows])
 
     multi = [r for r in rows if r["m"] > 0]
     class1 = sum(1 for r in multi if r["edge_class"] == 1)
     overshoot = [r["lemma_threshold"] - r["chromatic_index"] for r in multi]
-    sys.stdout.write("\n")
-    sys.stdout.write(f"graphs with edges: {len(multi)} "
-                     f"(class 1: {class1}, class 2: {len(multi) - class1})\n")
+    print()
+    print(f"graphs with edges: {len(multi)} "
+          f"(class 1: {class1}, class 2: {len(multi) - class1})")
     if overshoot:
-        sys.stdout.write(
-            "local-lemma palette overshoot vs exact chromatic index: "
-            f"min {min(overshoot)}, mean {sum(overshoot) / len(overshoot):.2f}, "
-            f"max {max(overshoot)}\n"
-        )
-    sys.stdout.write(
-        f"difference-product spot checks: {cfg.samples} random assignments "
-        f"per graph, {disagreements} disagreements\n"
-    )
+        print("local-lemma palette overshoot vs exact chromatic index: "
+              f"min {min(overshoot)}, "
+              f"mean {sum(overshoot) / len(overshoot):.2f}, "
+              f"max {max(overshoot)}")
+    print(f"difference-product spot checks: {args.samples} random assignments "
+          f"per graph, {disagreements} disagreements")
     return 0 if disagreements == 0 else 1
 
 

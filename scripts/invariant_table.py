@@ -21,33 +21,26 @@ import argparse
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass
 
 from chromaconn import (BudgetExceededError, connected_graphs_up_to,
                         diameter, write_graph6)
-from chromaconn.cli import EXIT_BUDGET, TABLE_COLUMNS
+from chromaconn.cli import (DEFAULT_BUDGET, EXIT_BUDGET, TABLE_COLUMNS,
+                            print_text_table)
 
 
-@dataclass(frozen=True)
-class Config:
-    max_n: int = 5
-    fmt: str = "text"
-    budget: int = 10_000_000
-
-
-def parse_config(argv=None) -> Config:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-n", type=int, default=5,
                         help="largest graph order to include (default 5)")
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--budget", type=int, default=10_000_000,
+    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="coloring budget per solver call")
     args = parser.parse_args(argv)
     if not 1 <= args.max_n <= 7:
         parser.error("--max-n must be between 1 and 7")
     if args.budget < 1:
         parser.error("--budget must be >= 1")
-    return Config(max_n=args.max_n, fmt=args.format, budget=args.budget)
+    return args
 
 
 def invariant_row(graph, budget):
@@ -91,51 +84,39 @@ def summarize(rows):
     return summary
 
 
-def print_text(rows, summary, out):
+def print_text(rows, summary):
     headers = ("graph", "n", "m", *TABLE_COLUMNS, "diameter")
-    table = [headers] + [tuple(str(r[h]) for h in headers) for r in rows]
-    widths = [max(len(row[i]) for row in table) for i in range(len(headers))]
-    for row in table:
-        out.write("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-        out.write("\n")
-    out.write("\n")
-    multi = summary["graphs"]
-    out.write(f"graphs: {multi}\n")
-    out.write(
-        f"rainbow value equals diameter on {summary['rainbow_meets_diameter']} "
-        f"graphs, equals edge count on {summary['rainbow_meets_edge_count']}\n"
-    )
-    out.write(
-        f"monochromatic value meets m-n+2 on "
-        f"{summary['mono_meets_cycle_bound']} graphs\n"
-    )
-    out.write(
-        f"proper value strictly below rainbow on "
-        f"{summary['proper_below_rainbow']} graphs\n"
-    )
+    print_text_table(headers, [[r[h] for h in headers] for r in rows])
+    print()
+    print(f"graphs: {summary['graphs']}")
+    print(f"rainbow value equals diameter on "
+          f"{summary['rainbow_meets_diameter']} graphs, equals edge count on "
+          f"{summary['rainbow_meets_edge_count']}")
+    print(f"monochromatic value meets m-n+2 on "
+          f"{summary['mono_meets_cycle_bound']} graphs")
+    print(f"proper value strictly below rainbow on "
+          f"{summary['proper_below_rainbow']} graphs")
     for col in TABLE_COLUMNS:
         dist = summary["distributions"][col]
         ext = summary["extremal"][col]
         body = ", ".join(f"{v}x{c}" for v, c in dist.items())
-        out.write(
-            f"{col:>4}: {body}; max {ext['max']} at {' '.join(ext['graphs'])}\n"
-        )
+        print(f"{col:>4}: {body}; max {ext['max']} at "
+              f"{' '.join(ext['graphs'])}")
 
 
 def main(argv=None) -> int:
-    cfg = parse_config(argv)
+    args = parse_args(argv)
     rows = []
-    for graph in connected_graphs_up_to(cfg.max_n):
-        row = invariant_row(graph, cfg.budget)
+    for graph in connected_graphs_up_to(args.max_n):
+        row = invariant_row(graph, args.budget)
         if row is None:
             return EXIT_BUDGET
         rows.append(row)
     summary = summarize(rows)
-    if cfg.fmt == "json":
-        json.dump({"rows": rows, "summary": summary}, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+    if args.format == "json":
+        print(json.dumps({"rows": rows, "summary": summary}, indent=2))
     else:
-        print_text(rows, summary, sys.stdout)
+        print_text(rows, summary)
     return 0
 
 

@@ -7,8 +7,9 @@ stream one record per line on stdout, so subcommands compose under pipes:
 
 Exit codes: 0 all lines handled, 1 malformed input or unmet preconditions,
 2 budget exhaustion.  When both occur the run reports 1: raising the budget
-cannot fix a malformed run.  Per-line failures go to stderr and processing
-continues with the next line.
+cannot fix a malformed run.  A bad flag combination is one error before any
+input is read; per-line failures go to stderr and processing continues with
+the next line.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import os
 import sys
 from functools import partial
-from typing import Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .coloring import EdgeColoring, Pattern
 from .graph import (
@@ -56,6 +57,8 @@ EXIT_BUDGET = 2
 PATTERN_CHOICES = ("rainbow", "proper", "monochromatic", "conflict-free",
                    "proper-rainbow")
 
+_PROPERTY = {"connect": "connected", "disconnect": "disconnected"}
+
 # the eight invariants of `chromaconn table`, in column order; each is
 # called as solve(graph, budget=budget)
 TABLE_COLUMNS = {
@@ -68,21 +71,6 @@ TABLE_COLUMNS = {
     "md": partial(disconnection_number, pattern=Pattern.MONOCHROMATIC),
     "prc": proper_rainbow_connection_number,
 }
-
-
-class _Status:
-    """Collects per-line failures; input errors dominate the exit code."""
-
-    def __init__(self):
-        self.input_error = False
-        self.budget_error = False
-
-    def code(self) -> int:
-        if self.input_error:
-            return EXIT_INPUT
-        if self.budget_error:
-            return EXIT_BUDGET
-        return EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,25 +90,67 @@ def _positive_int(raw: str) -> int:
     return value
 
 
-def _default_budget() -> int:
+def _resolve_budget(args) -> int:
+    if args.budget is not None:
+        return args.budget
     raw = os.environ.get(BUDGET_ENV)
     if raw is None:
         return DEFAULT_BUDGET
     try:
         value = int(raw)
     except ValueError:
-        print(f"error: {BUDGET_ENV} must be an integer, got {raw!r}",
-              file=sys.stderr)
-        raise SystemExit(EXIT_INPUT)
+        raise ValueError(f"{BUDGET_ENV} must be an integer, got {raw!r}")
     if value < 1:
-        print(f"error: {BUDGET_ENV} must be >= 1, got {value}",
-              file=sys.stderr)
-        raise SystemExit(EXIT_INPUT)
+        raise ValueError(f"{BUDGET_ENV} must be >= 1, got {value}")
     return value
 
 
-def _resolve_budget(args) -> int:
-    return args.budget if args.budget is not None else _default_budget()
+class _Query(NamedTuple):
+    """What --pattern/--task/--k/--mode ask for: the record's pattern name,
+    property, k and mode (None at k = 1), the solver, called as
+    solve(graph, budget=budget), and the certifier, certify(graph, coloring)."""
+    pattern: str
+    prop: str
+    k: Optional[int]
+    mode: Optional[str]
+    solve: Callable
+    certify: Callable
+
+
+def _resolve(args) -> _Query:
+    """The query of compute and verify --coloring; ValueError for a flag
+    combination that does not exist.  The solvers' own preconditions
+    (connectivity, k-connectivity, a cut form) stay per-line errors."""
+    key = args.pattern.replace("-", "_")
+    k, mode = args.k, args.mode
+    if key == PROPER_RAINBOW:
+        if args.task != "connect" or k != 1:
+            raise ValueError(
+                "proper-rainbow supports only --task connect with k=1")
+        objective = Pattern.RAINBOW.objective
+        solve = proper_rainbow_connection_number
+        certify = is_proper_rainbow_connected
+    else:
+        pattern = Pattern.from_name(key)
+        objective = pattern.objective
+        if args.task == "disconnect":
+            solve = partial(disconnection_number, pattern=pattern)
+            certify = partial(is_pattern_disconnected, pattern=pattern)
+        else:
+            solve = partial(connection_number, pattern=pattern, k=k,
+                            mode=mode)
+            certify = (partial(is_pattern_connected, pattern=pattern)
+                       if k == 1 else
+                       partial(is_pattern_k_connected, pattern=pattern, k=k,
+                               mode=mode))
+    wanted = getattr(args, "objective", None)
+    if wanted is not None and wanted != objective:
+        raise ValueError(
+            f"pattern {key} has objective {objective}, not {wanted}")
+    if args.task == "disconnect" and k != 1:
+        raise ValueError("disconnection does not take k")
+    k, mode = (None, None) if k == 1 else (k, mode)
+    return _Query(key, _PROPERTY[args.task], k, mode, solve, certify)
 
 
 def _input_lines(args) -> Iterator[str]:
@@ -131,8 +161,7 @@ def _input_lines(args) -> Iterator[str]:
     try:
         source = sys.stdin if path is None else open(path)
     except OSError as exc:
-        print(f"error: cannot open {path}: {exc.strerror}", file=sys.stderr)
-        raise SystemExit(EXIT_INPUT)
+        raise ValueError(f"cannot open {path}: {exc.strerror}")
     # stdin and --file decode alike whatever the locale, so piping equals a
     # file; a byte that is not UTF-8 reaches the graph6 parser as a surrogate
     source.reconfigure(encoding="utf-8", errors="surrogateescape")
@@ -143,11 +172,24 @@ def _input_lines(args) -> Iterator[str]:
                 yield line
 
 
-def _parse_pattern(name: str) -> str:
-    key = name.strip().lower().replace("-", "_")
-    if key == PROPER_RAINBOW:
-        return PROPER_RAINBOW
-    return Pattern.from_name(key).value
+def _run_lines(args, handle) -> int:
+    """Call handle(line) on every input line and return the exit code.  A
+    line's error goes to stderr with its line number and the next line is
+    read; handle returns True for a line that ran out of budget without
+    raising."""
+    input_error = budget_error = False
+    for lineno, line in enumerate(_input_lines(args), 1):
+        try:
+            budget_error |= bool(handle(line))
+        except (ValueError, BudgetExceededError) as exc:
+            print(f"error: {exc} (line {lineno})", file=sys.stderr)
+            if isinstance(exc, BudgetExceededError):
+                budget_error = True
+            else:
+                input_error = True
+    if input_error:
+        return EXIT_INPUT
+    return EXIT_BUDGET if budget_error else EXIT_OK
 
 
 def _parse_line_graph(line: str):
@@ -157,186 +199,108 @@ def _parse_line_graph(line: str):
         raise ValueError(f"bad graph6 {line!r}: {exc}") from exc
 
 
-def _emit_json(record: dict):
-    print(json.dumps(record, separators=(",", ":")))
+def _emit(args, record: dict, text: Optional[str]):
+    print(json.dumps(record, separators=(",", ":"))
+          if args.format == "json" else text)
 
 
-def _line_error(status: _Status, lineno: int, exc: Exception):
-    print(f"error: {exc} (line {lineno})", file=sys.stderr)
-    if isinstance(exc, BudgetExceededError):
-        status.budget_error = True
-    else:
-        status.input_error = True
+def print_text_table(header, rows):
+    """Print rows under header in left-aligned columns two spaces apart."""
+    cells = [tuple(map(str, row)) for row in (header, *rows)]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
+    for row in cells:
+        print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
 
 
 # ---------------------------------------------------------------- compute
 
 
 def _cmd_compute(args) -> int:
-    pattern_name = _parse_pattern(args.pattern)
-    task = args.task
-    if pattern_name == PROPER_RAINBOW:
-        if task != "connect" or args.k != 1:
-            print("error: proper-rainbow supports only --task connect with k=1",
-                  file=sys.stderr)
-            return EXIT_INPUT
-    else:
-        pattern = Pattern.from_name(pattern_name)
-        if args.objective is not None and args.objective != pattern.objective:
-            print(f"error: pattern {pattern_name} has objective "
-                  f"{pattern.objective}, not {args.objective}",
-                  file=sys.stderr)
-            return EXIT_INPUT
-    if task == "disconnect" and args.k != 1:
-        print("error: disconnection does not take k", file=sys.stderr)
-        return EXIT_INPUT
+    query = _resolve(args)
     budget = _resolve_budget(args)
-    status = _Status()
-    for lineno, line in enumerate(_input_lines(args), 1):
-        try:
-            graph = _parse_line_graph(line)
-            if pattern_name == PROPER_RAINBOW:
-                result = proper_rainbow_connection_number(graph, budget=budget)
-                k = mode = None
-            elif task == "connect":
-                pattern = Pattern.from_name(pattern_name)
-                result = connection_number(graph, pattern, k=args.k,
-                                           mode=args.mode, budget=budget)
-                k, mode = (None, None) if args.k == 1 else (args.k, args.mode)
-            else:
-                pattern = Pattern.from_name(pattern_name)
-                result = disconnection_number(graph, pattern, budget=budget)
-                k = mode = None
-        except (ValueError, BudgetExceededError) as exc:
-            _line_error(status, lineno, exc)
-            continue
-        if args.format == "json":
-            _emit_json(result_to_dict(graph, result, pattern_name, k, mode))
-        else:
-            label = task if k is None else f"{task}[k={k},{mode}]"
-            print(f"{write_graph6(graph)} {pattern_name} {label} "
-                  f"value={result.value} "
-                  f"coloring={result.optimal_coloring.to_text() or '-'} "
-                  f"nodes={result.nodes_explored}")
-    return status.code()
+    label = (args.task if query.k is None
+             else f"{args.task}[k={query.k},{query.mode}]")
+
+    def handle(line):
+        graph = _parse_line_graph(line)
+        record = result_to_dict(graph, query.solve(graph, budget=budget),
+                                query.pattern, query.k, query.mode)
+        _emit(args, record,
+              f"{record['graph']} {query.pattern} {label} "
+              f"value={record['value']} coloring={record['coloring'] or '-'} "
+              f"nodes={record['nodes_explored']}")
+
+    return _run_lines(args, handle)
 
 
 # ----------------------------------------------------------------- verify
 
 
-def _verify_properties(args, graph, coloring):
-    """Property name, whether it holds, and validity of the found certificate."""
-    pattern_name = _parse_pattern(args.pattern)
-    if pattern_name == PROPER_RAINBOW:
-        if args.task != "connect" or args.k != 1:
-            raise ValueError("proper-rainbow supports only --task connect with k=1")
-        cert = is_proper_rainbow_connected(graph, coloring)
-        prop = "connected"
-    elif args.task == "disconnect":
-        if args.k != 1:
-            raise ValueError("disconnection does not take k")
-        cert = is_pattern_disconnected(graph, coloring,
-                                       Pattern.from_name(pattern_name))
-        prop = "disconnected"
-    elif args.k == 1:
-        cert = is_pattern_connected(graph, coloring,
-                                    Pattern.from_name(pattern_name))
-        prop = "connected"
-    else:
-        cert = is_pattern_k_connected(graph, coloring,
-                                      Pattern.from_name(pattern_name),
-                                      args.k, args.mode)
-        prop = "connected"
-    holds = cert is not None
-    cert_valid = verify_certificate(graph, coloring, cert) if holds else None
-    return pattern_name, prop, holds, cert_valid
-
-
 def _cmd_verify(args) -> int:
-    status = _Status()
-    if args.coloring is not None:
-        # graph6 lines; test the given coloring for the requested property
-        if args.pattern is None:
-            print("error: --coloring requires --pattern", file=sys.stderr)
-            return EXIT_INPUT
-        coloring = None
-        try:
-            coloring = EdgeColoring.from_text(args.coloring) \
-                if args.coloring else EdgeColoring((), 0)
-        except ValueError as exc:
-            print(f"error: bad coloring: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-        for lineno, line in enumerate(_input_lines(args), 1):
-            try:
-                graph = _parse_line_graph(line)
-                pattern_name, prop, holds, cert_valid = _verify_properties(
-                    args, graph, coloring)
-            except ValueError as exc:
-                _line_error(status, lineno, exc)
-                continue
-            if args.format == "json":
-                record = {"graph": write_graph6(graph), "pattern": pattern_name,
-                          prop: holds, "certificate_valid": cert_valid}
-                _emit_json(record)
-            else:
-                print(f"{write_graph6(graph)} {prop}: "
-                      f"{'true' if holds else 'false'}")
-        return status.code()
-    # JSON records as produced by compute; check their certificates
-    for lineno, line in enumerate(_input_lines(args), 1):
-        try:
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise ValueError("expected a JSON object per line")
-            for field in ("graph", "coloring", "certificate"):
-                if field not in record:
-                    raise ValueError(f"record missing field {field!r}")
-            for field in ("graph", "coloring"):
-                if not isinstance(record[field], str):
-                    raise ValueError(f"field {field!r} must be a string")
-            graph = _parse_line_graph(record["graph"])
-            coloring = EdgeColoring.from_text(record["coloring"]) \
-                if record["coloring"] else EdgeColoring((), 0)
-            cert = certificate_from_dict(record["certificate"])
-        except (json.JSONDecodeError, ValueError, TypeError) as exc:
-            _line_error(status, lineno, ValueError(f"bad record: {exc}"))
-            continue
-        valid = verify_certificate(graph, coloring, cert)
-        if args.format == "json":
-            _emit_json({"graph": record["graph"], "valid": valid})
-        else:
-            print(f"{record['graph']} {'valid' if valid else 'invalid'}")
-    return status.code()
+    if args.coloring is None:
+        # JSON records as produced by compute; check their certificates
+        return _run_lines(args, partial(_verify_record, args))
+    # graph6 lines; test the given coloring for the requested property
+    if args.pattern is None:
+        raise ValueError("--coloring requires --pattern")
+    query = _resolve(args)
+    try:
+        coloring = EdgeColoring.from_text(args.coloring)
+    except ValueError as exc:
+        raise ValueError(f"bad coloring: {exc}") from exc
+
+    def handle(line):
+        graph = _parse_line_graph(line)
+        cert = query.certify(graph, coloring)
+        holds = cert is not None
+        g6 = write_graph6(graph)
+        _emit(args, {"graph": g6, "pattern": query.pattern, query.prop: holds,
+                     "certificate_valid": verify_certificate(
+                         graph, coloring, cert) if holds else None},
+              f"{g6} {query.prop}: {'true' if holds else 'false'}")
+
+    return _run_lines(args, handle)
+
+
+def _verify_record(args, line):
+    try:
+        record = json.loads(line)
+        if not isinstance(record, dict):
+            raise ValueError("expected a JSON object per line")
+        for field in ("graph", "coloring", "certificate"):
+            if field not in record:
+                raise ValueError(f"record missing field {field!r}")
+        for field in ("graph", "coloring"):
+            if not isinstance(record[field], str):
+                raise ValueError(f"field {field!r} must be a string")
+        graph = _parse_line_graph(record["graph"])
+        coloring = EdgeColoring.from_text(record["coloring"])
+        cert = certificate_from_dict(record["certificate"])
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"bad record: {exc}") from exc
+    valid = verify_certificate(graph, coloring, cert)
+    _emit(args, {"graph": record["graph"], "valid": valid},
+          f"{record['graph']} {'valid' if valid else 'invalid'}")
 
 
 # ------------------------------------------------------------------ count
 
 
 def _cmd_count(args) -> int:
-    pattern_name = _parse_pattern(args.pattern)
-    if pattern_name == PROPER_RAINBOW:
-        print("error: counting supports the four path patterns only",
-              file=sys.stderr)
-        return EXIT_INPUT
-    pattern = Pattern.from_name(pattern_name)
-    prop = "connected" if args.task == "connect" else "disconnected"
+    pattern = Pattern.from_name(args.pattern)
+    prop = _PROPERTY[args.task]
     budget = _resolve_budget(args)
-    status = _Status()
-    for lineno, line in enumerate(_input_lines(args), 1):
-        try:
-            graph = _parse_line_graph(line)
-            total = count_colorings(graph, pattern, args.colors, prop=prop,
-                                    budget=budget)
-        except (ValueError, BudgetExceededError) as exc:
-            _line_error(status, lineno, exc)
-            continue
-        if args.format == "json":
-            _emit_json({"graph": write_graph6(graph), "pattern": pattern_name,
-                        "property": prop, "t": args.colors, "count": total})
-        else:
-            print(f"{write_graph6(graph)} {pattern_name} {prop} "
-                  f"t={args.colors} count={total}")
-    return status.code()
+
+    def handle(line):
+        graph = _parse_line_graph(line)
+        total = count_colorings(graph, pattern, args.colors, prop=prop,
+                                budget=budget)
+        g6 = write_graph6(graph)
+        _emit(args, {"graph": g6, "pattern": pattern.value, "property": prop,
+                     "t": args.colors, "count": total},
+              f"{g6} {pattern.value} {prop} t={args.colors} count={total}")
+
+    return _run_lines(args, handle)
 
 
 # ------------------------------------------------------------------ table
@@ -356,40 +320,22 @@ def _table_row(graph, budget):
 
 def _cmd_table(args) -> int:
     budget = _resolve_budget(args)
-    status = _Status()
     rows = []
-    for lineno, line in enumerate(_input_lines(args), 1):
-        try:
-            graph = _parse_line_graph(line)
-            row, exhausted = _table_row(graph, budget)
-        except ValueError as exc:
-            _line_error(status, lineno, exc)
-            continue
-        if exhausted:
-            status.budget_error = True
+
+    def handle(line):
+        graph = _parse_line_graph(line)
+        row, exhausted = _table_row(graph, budget)
         g6 = write_graph6(graph)
-        if args.format == "json":
-            record = {"graph": g6}
-            record.update(row)
-            record["exhausted"] = exhausted
-            _emit_json(record)
+        if args.format == "text":
+            rows.append((g6, *("?" if v is None else v for v in row.values())))
         else:
-            rows.append((g6, row))
-    if args.format == "text" and rows:
-        _print_text_table(rows)
-    return status.code()
+            _emit(args, {"graph": g6, **row, "exhausted": exhausted}, None)
+        return bool(exhausted)
 
-
-def _print_text_table(rows):
-    header = ("graph", *TABLE_COLUMNS)
-    cells = [header]
-    for g6, row in rows:
-        cells.append((g6,) + tuple(
-            "?" if v is None else str(v) for v in row.values()))
-    widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
-    for r in cells:
-        print("  ".join(r[i].ljust(widths[i])
-                        for i in range(len(header))).rstrip())
+    code = _run_lines(args, handle)
+    if rows:
+        print_text_table(("graph", *TABLE_COLUMNS), rows)
+    return code
 
 
 # --------------------------------------------------------------- generate
@@ -397,19 +343,13 @@ def _print_text_table(rows):
 
 def _cmd_generate(args) -> int:
     if (args.family is None) == (args.all_connected is None):
-        print("error: give exactly one of --family or --all-connected",
-              file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        if args.all_connected is not None:
-            graphs = connected_graphs_up_to(args.all_connected)
-        else:
-            params = tuple(int(p) for p in args.params.split(",")) \
-                if args.params else ()
-            graphs = [generate(args.family, params)]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("give exactly one of --family or --all-connected")
+    if args.all_connected is not None:
+        graphs = connected_graphs_up_to(args.all_connected)
+    else:
+        params = tuple(int(p) for p in args.params.split(",")) \
+            if args.params else ()
+        graphs = [generate(args.family, params)]
     for graph in graphs:
         print(write_graph6(graph))
     return EXIT_OK
@@ -495,6 +435,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ValueError as exc:  # raised before the first line is read
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except BrokenPipeError:
         return EXIT_OK
     except KeyboardInterrupt:

@@ -410,47 +410,6 @@ def line_graph(graph: Graph) -> Graph:
     return Graph(m, tuple(edges))
 
 
-def delete_edge(graph: Graph, edge) -> Graph:
-    """Remove one edge (given as an index or endpoint pair); vertex set is kept."""
-    i = edge if isinstance(edge, int) else graph.edge_index(*edge)
-    if not (0 <= i < graph.m):
-        raise ValueError(f"edge index {i} out of range")
-    return Graph(graph.n, graph.edges[:i] + graph.edges[i + 1:])
-
-
-def identify_vertices(graph: Graph, u: int, v: int) -> Graph:
-    """Merge vertices u and v into one, drop loops/parallels, renumber.
-
-    The higher vertex is folded into the lower one and vertices above it
-    shift down, so the result is canonical.
-    """
-    if u == v or not (0 <= u < graph.n and 0 <= v < graph.n):
-        raise ValueError("invalid vertex pair")
-    a, b = (u, v) if u < v else (v, u)
-
-    def relabel(w):
-        if w == b:
-            w = a
-        return w - 1 if w > b else w
-
-    edges = set()
-    for (x, y) in graph.edges:
-        p, q = relabel(x), relabel(y)
-        if p != q:
-            edges.add((p, q) if p < q else (q, p))
-    return Graph(graph.n - 1, tuple(sorted(edges)))
-
-
-def contract_edge(graph: Graph, edge) -> Graph:
-    """Merge the endpoints of one edge (given as an index or endpoint pair);
-    see identify_vertices.  The contracted edge becomes a loop and is dropped.
-    """
-    i = edge if isinstance(edge, int) else graph.edge_index(*edge)
-    if not (0 <= i < graph.m):
-        raise ValueError(f"edge index {i} out of range")
-    return identify_vertices(graph, *graph.edges[i])
-
-
 # ---------------------------------------------------------------------------
 # canonical form (exhaustive, for small n)
 

@@ -117,7 +117,7 @@ def _components(adj: tuple) -> list:
 
 def _identify(adj: tuple, a: int, b: int) -> tuple:
     """Merge b into a < b, dropping loops and parallels; vertices above b
-    shift down (as graph.identify_vertices)."""
+    shift down by one, so vertex w > b becomes w - 1."""
     bit_a, bit_b = 1 << a, 1 << b
     low = bit_b - 1
     out = []

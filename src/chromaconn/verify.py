@@ -178,13 +178,10 @@ class ConnCheck:
 
 
 class KConnCheck:
-    """k-disjoint pattern-path tests (edge- or internally-vertex-disjoint)."""
+    """k-disjoint pattern-path tests (edge- or internally-vertex-disjoint);
+    callers check k and mode first, with _check_k_connected."""
 
     def __init__(self, graph: Graph, k: int, mode: str):
-        if mode not in ("edge", "vertex"):
-            raise ValueError(f"unknown mode {mode!r}")
-        if k < 1:
-            raise ValueError("k must be >= 1")
         self.graph = graph
         self.k = k
         self.mode = mode
@@ -437,9 +434,8 @@ def is_pattern_k_connected(graph: Graph, coloring: EdgeColoring,
     """
     _require_connected(graph)
     _check_coloring(graph, coloring)
-    checker = KConnCheck(graph, k, mode)
     _check_k_connected(graph, k, mode)
-    wit = checker.witnesses(coloring.colors, pattern)
+    wit = KConnCheck(graph, k, mode).witnesses(coloring.colors, pattern)
     if wit is None:
         return None
     return Certificate("k_connection", pattern.value, wit, k=k, mode=mode)

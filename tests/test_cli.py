@@ -76,6 +76,17 @@ def test_compute_objective_guard(run_cli):
     assert "objective" in bad.stderr
 
 
+def test_compute_proper_rainbow_objective_guard(run_cli):
+    ok = run_cli(["compute", "--pattern", "proper-rainbow", "--objective",
+                  "min", "--graph", K3])
+    assert ok.returncode == 0
+    bad = run_cli(["compute", "--pattern", "proper-rainbow", "--objective",
+                   "max", "--graph", K3])
+    assert (bad.returncode, bad.stdout) == (1, "")
+    assert bad.stderr == \
+        "error: pattern proper_rainbow has objective min, not max\n"
+
+
 # --------------------------------------------------------------- exit codes
 
 
@@ -160,7 +171,7 @@ def test_verify_record_route(run_cli):
     data["certificate"]["pairs"] = data["certificate"]["pairs"][1:]
     ver = run_cli(["verify"], stdin=json.dumps(data) + "\n")
     assert ver.returncode == 0
-    assert _json_lines(ver.stdout)[0]["valid"] is False
+    assert _json_lines(ver.stdout) == [{"graph": C4, "valid": False}]
     # structurally broken record is an input error
     ver = run_cli(["verify"], stdin="{\"graph\": \"Cl\"}\n")
     assert ver.returncode == 1
@@ -189,6 +200,17 @@ def test_verify_record_rejects_boolean_vertex(run_cli):
     assert ver.returncode == 1
     assert "bad record" in ver.stderr
     assert ver.stdout == ""
+
+
+@pytest.mark.parametrize("stdin", [f"{P3}\n{K3}\n", ""],
+                         ids=["two-lines", "empty"])
+def test_verify_flag_combination_fails_once(run_cli, stdin):
+    # a combination that does not exist is one error before input is read
+    r = run_cli(["verify", "--pattern", "proper-rainbow", "--task",
+                 "disconnect", "--coloring", "0,1"], stdin=stdin)
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == \
+        "error: proper-rainbow supports only --task connect with k=1\n"
 
 
 def test_verify_requires_pattern_with_coloring(run_cli):

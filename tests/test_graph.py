@@ -28,8 +28,6 @@ from chromaconn.graph import (
     GRAPH6_HEADER,
     bfs_distances,
     canonical_form,
-    contract_edge,
-    delete_edge,
     uv_bipartitions,
 )
 
@@ -196,16 +194,6 @@ def test_line_graph_shapes():
     lk4 = line_graph(complete_graph(4))
     assert lk4.n == 6 and lk4.m == 12
     assert all(lk4.degree(v) == 4 for v in range(6))
-
-
-def test_delete_and_contract():
-    g = path_graph(3)
-    assert delete_edge(g, 0).edges == ((1, 2),)
-    assert delete_edge(g, (1, 2)).edges == ((0, 1),)
-    c = contract_edge(g, 0)
-    assert (c.n, c.edges) == (2, ((0, 1),))
-    tri = contract_edge(cycle_graph(4), 0)
-    assert (tri.n, tri.m) == (3, 3)  # parallel edges collapse
 
 
 def test_canonical_form_identifies_isomorphs():

@@ -23,7 +23,6 @@ from chromaconn import (
     petersen_graph,
     star_graph,
 )
-from chromaconn.graph import contract_edge, delete_edge
 
 from oracles import count_proper_edge_colorings, count_proper_vertex_colorings
 
@@ -118,19 +117,6 @@ def test_chromatic_invariant_under_relabeling(pair):
     # answer depend on the labeling
     g, h = pair
     assert chromatic_polynomial(g) == chromatic_polynomial(h)
-
-
-@settings(max_examples=60, deadline=None)
-@given(graph_strategy(5))
-def test_deletion_contraction_identity(g):
-    if g.m == 0:
-        return
-    f = chromatic_polynomial(g)
-    fd = chromatic_polynomial(delete_edge(g, 0))
-    fc = chromatic_polynomial(contract_edge(g, 0))
-    assert f.coeffs == tuple(a - b for a, b in
-                             zip(fd.coeffs + (0,) * 8, fc.coeffs + (0,) * 8)
-                             )[:len(f.coeffs)]
 
 
 def test_edge_chromatic_is_line_graph_chromatic():

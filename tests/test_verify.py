@@ -139,6 +139,19 @@ def test_k_connected_check():
                               EdgeColoring(tuple(range(6)), 6), vcert)
 
 
+def test_k_and_mode_checked_in_one_order():
+    # the certifier and the solver check k before mode, with one message
+    g = cycle_graph(4)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        is_pattern_k_connected(g, EdgeColoring((0, 1, 2, 3), 4),
+                               Pattern.RAINBOW, 0, "x")
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        connection_number(g, Pattern.RAINBOW, k=0, mode="x")
+    with pytest.raises(ValueError, match="unknown mode 'x'"):
+        is_pattern_k_connected(g, EdgeColoring((0, 1, 2, 3), 4),
+                               Pattern.RAINBOW, 2, "x")
+
+
 def test_conflict_free_has_no_disconnection():
     with pytest.raises(ValueError):
         is_pattern_disconnected(path_graph(3), EdgeColoring((0, 1), 2),
