@@ -38,6 +38,7 @@ from .solve import (
     result_to_dict,
 )
 from .verify import (
+    CUT_PATTERNS,
     PROPER_RAINBOW,
     certificate_from_dict,
     is_pattern_connected,
@@ -119,8 +120,9 @@ class _Query(NamedTuple):
 
 def _resolve(args) -> _Query:
     """The query of compute and verify --coloring; ValueError for a flag
-    combination that does not exist.  The solvers' own preconditions
-    (connectivity, k-connectivity, a cut form) stay per-line errors."""
+    combination that does not exist, a pattern without a cut form under
+    --task disconnect included.  The solvers' own preconditions
+    (connectivity, k-connectivity) stay per-line errors."""
     key = args.pattern.replace("-", "_")
     k, mode = args.k, args.mode
     if key == PROPER_RAINBOW:
@@ -134,6 +136,9 @@ def _resolve(args) -> _Query:
         pattern = Pattern.from_name(key)
         objective = pattern.objective
         if args.task == "disconnect":
+            if pattern not in CUT_PATTERNS:
+                raise ValueError(
+                    f"pattern {key} has no disconnection variant")
             solve = partial(disconnection_number, pattern=pattern)
             certify = partial(is_pattern_disconnected, pattern=pattern)
         else:
@@ -424,7 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="comma separated integers for the family")
     gen.add_argument("--all-connected", type=_positive_int, default=None,
                      metavar="N",
-                     help="all connected graphs up to N vertices (N <= 7)")
+                     help="all connected graphs up to N vertices (N <= 8)")
     gen.set_defaults(func=_cmd_generate)
 
     return parser

@@ -411,7 +411,7 @@ def line_graph(graph: Graph) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# canonical form (exhaustive, for small n)
+# canonical form (best-first over degree-class relabelings)
 
 def _graph_from_mask(n: int, mask: int) -> Graph:
     edges = []
@@ -427,33 +427,51 @@ def _graph_from_mask(n: int, mask: int) -> Graph:
 def canonical_form(graph: Graph):
     """(n, adjacency bitmask) minimized over vertex relabelings.
 
-    Two graphs are isomorphic iff their canonical forms are equal.  The search
-    runs over all relabelings that sort degrees in nonincreasing order, which
-    is exhaustive within each degree class; cost grows with the factorials of
-    the degree-multiplicity counts, fine for n <= 7 or so.
+    Two graphs are isomorphic iff their canonical forms are equal.  The
+    minimum runs over all relabelings that sort degrees in nonincreasing
+    order; pair (p, q), p < q, is bit p*n - p(p+1)/2 + (q-p-1).
+
+    Exact search: the bits of row p (pairs (p, q), q > p) form one block,
+    above every block of a lower row, so comparing masks compares row n-2,
+    then n-3, and so on down.  Positions are filled from n-1 to 0, each from
+    the degree class the sorted order assigns it; placing a vertex at p
+    fixes row p.  A partial labelling whose row p exceeds the frontier's
+    least row p loses to every completion of one that has it, so only ties
+    are kept.  Two partial labellings with the same unplaced vertices, each
+    adjacent to the same placed positions, have the same remaining rows, so
+    they are kept once: a state is that tuple of position bitmasks, -1 for a
+    placed vertex.
     """
     n = graph.n
     if n == 0:
         return (0, 0)
-    by_degree = {}
+    adj = graph.adjacency()
+    classes = {}
     for v in range(n):
-        by_degree.setdefault(graph.degree(v), []).append(v)
-    classes = [by_degree[d] for d in sorted(by_degree, reverse=True)]
-    best = None
-    for arrangement in itertools.product(*(itertools.permutations(c) for c in classes)):
-        order = [v for cls in arrangement for v in cls]
-        new = [0] * n
-        for pos, v in enumerate(order):
-            new[v] = pos
-        mask = 0
-        for (a, b) in graph.edges:
-            p, q = new[a], new[b]
-            if p > q:
-                p, q = q, p
-            mask |= 1 << (p * n - p * (p + 1) // 2 + (q - p - 1))
-        if best is None or mask < best:
-            best = mask
-    return (n, best)
+        classes.setdefault(len(adj[v]), []).append(v)
+    slot = [classes[d] for d in sorted(classes, reverse=True)
+            for _ in classes[d]]
+    nbrs = [[w for w, _ in adj[v]] for v in range(n)]
+    frontier = [(0,) * n]
+    mask = 0
+    for p in range(n - 1, -1, -1):
+        # an unplaced vertex's bitmask holds only positions above p
+        cls = slot[p]
+        best = min([s[v] for s in frontier for v in cls if s[v] >= 0])
+        bit = 1 << p
+        states = set()
+        for s in frontier:
+            for v in cls:
+                if s[v] == best:
+                    child = list(s)
+                    child[v] = -1
+                    for w in nbrs[v]:
+                        if child[w] >= 0:
+                            child[w] |= bit
+                    states.add(tuple(child))
+        frontier = states
+        mask |= (best >> (p + 1)) << (p * n - p * (p + 1) // 2)
+    return (n, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -503,10 +521,10 @@ def connected_graphs_up_to(max_n: int) -> Iterator[Graph]:
     Builds level k from level k-1 by attaching one new vertex with every
     nonempty neighborhood, deduplicating by canonical_form.  Every connected
     graph arises this way (remove a non-cut vertex, e.g. a leaf of a spanning
-    tree).  Feasible up to max_n = 7.
+    tree).  max_n = 8 builds 12,113 graphs from about 108k canonical forms.
     """
-    if not (1 <= max_n <= 7):
-        raise ValueError("supported range is 1 <= n <= 7")
+    if not (1 <= max_n <= 8):
+        raise ValueError("supported range is 1 <= n <= 8")
     level = {canonical_form(Graph(1)): Graph(1)}
     for g in sorted(level.values(), key=lambda g: g.edges):
         yield g

@@ -16,7 +16,7 @@ test_oracles.py checks the two routes against each other on every graph where
 the literal route is affordable.
 """
 
-from itertools import product
+from itertools import permutations, product
 
 # --------------------------------------------------------------- primitives
 
@@ -348,3 +348,27 @@ def count_proper_edge_colorings(n, edges, t):
         if ok:
             total += 1
     return total
+
+
+# -------------------------------------------------------- canonical labels
+
+
+def canonical_key(n, edges):
+    """(n, mask) least over every vertex order whose degrees do not increase,
+    pair (p, q), p < q, being bit p*n - p(p+1)/2 + (q-p-1)."""
+    deg = [0] * n
+    for a, b in edges:
+        deg[a] += 1
+        deg[b] += 1
+    best = None
+    for order in permutations(range(n)):
+        if any(deg[order[i]] < deg[order[i + 1]] for i in range(n - 1)):
+            continue
+        pos = {v: i for i, v in enumerate(order)}
+        mask = 0
+        for a, b in edges:
+            p, q = sorted((pos[a], pos[b]))
+            mask |= 1 << (p * n - p * (p + 1) // 2 + q - p - 1)
+        if best is None or mask < best:
+            best = mask
+    return (n, best)

@@ -213,6 +213,20 @@ def test_verify_flag_combination_fails_once(run_cli, stdin):
         "error: proper-rainbow supports only --task connect with k=1\n"
 
 
+@pytest.mark.parametrize("stdin", [f"{P3}\n{K3}\n", ""],
+                         ids=["two-lines", "empty"])
+@pytest.mark.parametrize("command", [["compute"],
+                                     ["verify", "--coloring", "0,1"]],
+                         ids=["compute", "verify"])
+def test_conflict_free_disconnect_fails_once(run_cli, command, stdin):
+    # conflict-free has no cut form, whatever the graph
+    r = run_cli(command + ["--pattern", "conflict-free", "--task",
+                           "disconnect"], stdin=stdin)
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == \
+        "error: pattern conflict_free has no disconnection variant\n"
+
+
 def test_verify_requires_pattern_with_coloring(run_cli):
     r = run_cli(["verify", "--coloring", "0,0", "--graph", P3])
     assert r.returncode == 1

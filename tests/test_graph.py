@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -30,6 +33,7 @@ from chromaconn.graph import (
     canonical_form,
     uv_bipartitions,
 )
+from oracles import canonical_key
 
 
 def graph_strategy(max_n=7):
@@ -203,6 +207,22 @@ def test_canonical_form_identifies_isomorphs():
     assert canonical_form(a) != canonical_form(star_graph(3))
 
 
+def test_canonical_form_matches_oracle():
+    rng = random.Random(10)
+    for g in connected_graphs_up_to(6):
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = build_graph(g.n, [(perm[a], perm[b]) for a, b in g.edges])
+            assert canonical_form(h) == canonical_key(h.n, h.edges)
+    # whole degree classes tie at every position; the last is the 3-cube
+    cube = build_graph(8, [(v, v | b) for v in range(8) for b in (1, 2, 4)
+                           if not v & b])
+    for g in (complete_graph(7), cycle_graph(7), complete_bipartite_graph(3, 4),
+              cube):
+        assert canonical_form(g) == canonical_key(g.n, g.edges)
+
+
 # -------------------------------------------------------------- generators
 
 
@@ -238,7 +258,13 @@ def test_connected_census():
         assert is_connected(g)
     assert counts == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
     with pytest.raises(ValueError):
-        list(connected_graphs_up_to(8))
+        list(connected_graphs_up_to(9))
+
+
+def test_census_pinned():
+    text = "".join(write_graph6(g) + "\n" for g in connected_graphs_up_to(7))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "59e37a3d7f4f3112abd1fccac8b59b26893a476ef1df8df368bcba6f6b4b7331"
 
 
 def test_census_is_isomorphism_free():
