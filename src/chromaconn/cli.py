@@ -119,7 +119,7 @@ class _Query(NamedTuple):
 
 
 def _resolve(args) -> _Query:
-    """The query of compute and verify --coloring; ValueError for a flag
+    """The query of compute, verify --coloring and count; ValueError for a flag
     combination that does not exist, a pattern without a cut form under
     --task disconnect included.  The solvers' own preconditions
     (connectivity, k-connectivity) stay per-line errors."""
@@ -292,8 +292,9 @@ def _verify_record(args, line):
 
 
 def _cmd_count(args) -> int:
-    pattern = Pattern.from_name(args.pattern)
-    prop = _PROPERTY[args.task]
+    query = _resolve(args)
+    pattern = Pattern.from_name(query.pattern)
+    prop = query.prop
     budget = _resolve_budget(args)
 
     def handle(line):
@@ -416,7 +417,7 @@ def _build_parser() -> argparse.ArgumentParser:
     count.add_argument("-t", "--colors", type=_positive_int, required=True,
                        help="palette size")
     _add_io_options(count)
-    count.set_defaults(func=_cmd_count)
+    count.set_defaults(func=_cmd_count, k=1, mode="edge")  # for _resolve
 
     table = subs.add_parser(
         "table", help="all eight invariants per input graph")

@@ -411,21 +411,26 @@ def line_graph(graph: Graph) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# canonical form (best-first over degree-class relabelings)
+# neighbour bitmasks and canonical form
+
+def neighbour_masks(graph: Graph) -> tuple:
+    """adj[v] with bit w set iff vw is an edge, for every vertex v."""
+    adj = [0] * graph.n
+    for a, b in graph.edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return tuple(adj)
+
 
 def _graph_from_mask(n: int, mask: int) -> Graph:
-    edges = []
-    k = 0
-    for a in range(n):
-        for b in range(a + 1, n):
-            if (mask >> k) & 1:
-                edges.append((a, b))
-            k += 1
-    return Graph(n, tuple(edges))
+    # bit k of mask is the k-th pair (a, b), a < b, in lexicographic order
+    pairs = itertools.combinations(range(n), 2)
+    return Graph(n, tuple(e for k, e in enumerate(pairs) if mask >> k & 1))
 
 
-def canonical_form(graph: Graph):
-    """(n, adjacency bitmask) minimized over vertex relabelings.
+def canonical_form(adj: tuple):
+    """(n, adjacency bitmask) minimized over vertex relabelings of the graph
+    whose neighbour bitmasks are adj (bit w of adj[v] set iff vw is an edge).
 
     Two graphs are isomorphic iff their canonical forms are equal.  The
     minimum runs over all relabelings that sort degrees in nonincreasing
@@ -442,16 +447,15 @@ def canonical_form(graph: Graph):
     they are kept once: a state is that tuple of position bitmasks, -1 for a
     placed vertex.
     """
-    n = graph.n
+    n = len(adj)
     if n == 0:
         return (0, 0)
-    adj = graph.adjacency()
     classes = {}
-    for v in range(n):
-        classes.setdefault(len(adj[v]), []).append(v)
+    for v, x in enumerate(adj):
+        classes.setdefault(x.bit_count(), []).append(v)
     slot = [classes[d] for d in sorted(classes, reverse=True)
             for _ in classes[d]]
-    nbrs = [[w for w, _ in adj[v]] for v in range(n)]
+    nbrs = [[w for w in range(n) if x >> w & 1] for x in adj]
     frontier = [(0,) * n]
     mask = 0
     for p in range(n - 1, -1, -1):
@@ -521,28 +525,25 @@ def connected_graphs_up_to(max_n: int) -> Iterator[Graph]:
     Builds level k from level k-1 by attaching one new vertex with every
     nonempty neighborhood, deduplicating by canonical_form.  Every connected
     graph arises this way (remove a non-cut vertex, e.g. a leaf of a spanning
-    tree).  max_n = 8 builds 12,113 graphs from about 108k canonical forms.
+    tree).  A class is kept as its first candidate's neighbour bitmasks; a
+    Graph is built only to yield it, in key order.  max_n = 8 builds 12,113
+    graphs from about 108k canonical forms.
     """
     if not (1 <= max_n <= 8):
         raise ValueError("supported range is 1 <= n <= 8")
-    level = {canonical_form(Graph(1)): Graph(1)}
-    for g in sorted(level.values(), key=lambda g: g.edges):
-        yield g
+    yield Graph(1)
+    level = [(0,)]
     for k in range(2, max_n + 1):
+        bit = 1 << (k - 1)
         nxt = {}
-        for g in level.values():
-            base = list(g.edges)
-            for nb_mask in range(1, 1 << (k - 1)):
-                extra = [
-                    (w, k - 1) for w in range(k - 1) if (nb_mask >> w) & 1
-                ]
-                h = Graph(k, tuple(sorted(base + extra)))
-                key = canonical_form(h)
-                if key not in nxt:
-                    nxt[key] = _graph_from_mask(k, key[1])
-        level = nxt
+        for adj in level:
+            for nb_mask in range(1, bit):
+                h = tuple(x | bit if nb_mask >> w & 1 else x
+                          for w, x in enumerate(adj)) + (nb_mask,)
+                nxt.setdefault(canonical_form(h), h)
+        level = nxt.values()
         for key in sorted(nxt):
-            yield nxt[key]
+            yield _graph_from_mask(*key)
 
 
 _FAMILIES = {

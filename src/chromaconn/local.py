@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .coloring import EdgeColoring
 # canonical_form: no caller, kept for perfbench/tracing.py's patch
-from .graph import Graph, canonical_form, line_graph
+from .graph import Graph, canonical_form, line_graph, neighbour_masks
 
 
 @dataclass(frozen=True)
@@ -80,14 +80,6 @@ def _falling(n):
     for i in range(n):
         poly = _pmul(poly, (-i, 1))
     return poly
-
-
-def _masks(graph: Graph) -> tuple:
-    adj = [0] * graph.n
-    for a, b in graph.edges:
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-    return tuple(adj)
 
 
 def _components(adj: tuple) -> list:
@@ -217,7 +209,7 @@ def chromatic_polynomial(graph: Graph) -> Polynomial:
     that tuple, which determines the labeled graph as its sorted edge list
     does.  Coefficients are exact ints.
     """
-    return Polynomial(_chrom(_masks(graph), {}))
+    return Polynomial(_chrom(neighbour_masks(graph), {}))
 
 
 def edge_chromatic_polynomial(graph: Graph) -> Polynomial:

@@ -271,15 +271,16 @@ class DisconnCheck:
     checker of solve._search for cuts, paths and stars.
 
     families defaults to the pair cut families, and then cuts[k] lists pair
-    k's distinct cuts as (cut, side), sorted by (size, edges), side being
-    the u-side of the cut's first bipartition.  Bipartition crossing cuts
-    suffice: any separating edge set contains the crossing cut of the
-    u-component after removal, and the three rules are preserved by passing
-    to subsets.  Given families, lists of sorted edge tuples, replace the
-    cuts; an empty list constrains nothing.  The edges of a simple path that
-    share an endpoint are its consecutive ones, so the proper rule is the
-    proper-path rule, and a one-member family holding a vertex's star,
-    under the rainbow rule, says its edges differ.
+    k's bipartitions as (cut, side), sorted by (size, edges), side being the
+    u-side; no two share a cut C, as G is connected and the edges of C join
+    components of G - C on opposite sides, so u's side fixes every other.
+    Bipartition crossing cuts suffice: any separating edge set contains the
+    crossing cut of the u-component after removal, and the three rules are
+    preserved by passing to subsets.  Given families, lists of sorted edge
+    tuples, replace the cuts; an empty list constrains nothing.  The edges
+    of a simple path that share an endpoint are its consecutive ones, so the
+    proper rule is the proper-path rule, and a one-member family holding a
+    vertex's star, under the rainbow rule, says its edges differ.
 
     Members are pooled, one bit each, and the state of a colored prefix
     (edges are colored in index order) is the bitmask of members still
@@ -306,13 +307,12 @@ class DisconnCheck:
         if families is None:
             families, self.cuts = [], []
             for u, v in self.pairs:
-                sides = {}
-                for side, cut in uv_bipartitions(graph, u, v):
-                    sides.setdefault(cut, side)
                 # small first: a pair's first live cut is its witness
-                family = sorted(sides, key=lambda c: (len(c), c))
-                families.append(family)
-                self.cuts.append([(cut, sides[cut]) for cut in family])
+                entries = sorted(((cut, side) for side, cut
+                                  in uv_bipartitions(graph, u, v)),
+                                 key=lambda e: (len(e[0]), e[0]))
+                families.append([cut for cut, _ in entries])
+                self.cuts.append(entries)
         self.bit = {}  # distinct member -> its bit
         compare = {}   # (f, i) with f < i -> mask of members comparing i, f
         self.family_masks = []

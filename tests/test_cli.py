@@ -216,8 +216,9 @@ def test_verify_flag_combination_fails_once(run_cli, stdin):
 @pytest.mark.parametrize("stdin", [f"{P3}\n{K3}\n", ""],
                          ids=["two-lines", "empty"])
 @pytest.mark.parametrize("command", [["compute"],
-                                     ["verify", "--coloring", "0,1"]],
-                         ids=["compute", "verify"])
+                                     ["verify", "--coloring", "0,1"],
+                                     ["count", "-t", "2"]],
+                         ids=["compute", "verify", "count"])
 def test_conflict_free_disconnect_fails_once(run_cli, command, stdin):
     # conflict-free has no cut form, whatever the graph
     r = run_cli(command + ["--pattern", "conflict-free", "--task",
