@@ -19,8 +19,9 @@ is colored, which cuts its whole subtree; it only rejects prefixes that no
 completion could make feasible, so the first accepted string is the same as
 without it.  Every forward checker is a verify.DisconnCheck table of pair
 cut families (disconnection) or of path and star families
-(_connection_checks).  Every string it keeps is feasible save at k >= 2, where
-each kept string's k-families are tested; conflict-free tests every string.
+(_connection_checks), and at k >= 2 its DisjointCheck form, whose families
+must keep k disjoint live paths.  Every string a checker keeps is feasible,
+so only conflict-free connection, which has no checker, tests its strings.
 
 One node of work is a complete string tested or a prefix rejected.  Runtimes
 are exponential; a budget of nodes turns an over-large instance into an
@@ -47,6 +48,7 @@ from .verify import (
     ConnCheck,
     CUT_PATTERNS,
     DisconnCheck,
+    DisjointCheck,
     KConnCheck,
     _check_k_connected,
     certificate_to_dict,
@@ -56,7 +58,8 @@ from .verify import (
 class BudgetExceededError(RuntimeError):
     """Raised when a solver runs out of its node budget."""
 
-    def __init__(self, budget: int, explored: int, t: int):
+    def __init__(self, budget: int, explored: int, t: int,
+                 nodes_per_t: Optional[dict] = None):
         super().__init__(
             f"budget of {budget} nodes exhausted after {explored}, "
             f"searching palette size t={t}"
@@ -64,6 +67,8 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
         self.explored = explored
         self.t = t  # palette size being searched when the budget ran out
+        # nodes spent in each palette size searched, in scan order
+        self.nodes_per_t = dict(nodes_per_t or {})
 
 
 @dataclass(frozen=True)
@@ -123,8 +128,9 @@ def _search(m: int, ts, checker, budget: Optional[int], leaf):
     subtree.  The walk keeps one state per depth, so backtracking restores
     it.  leaf(t, colors) gets each complete string the checker kept (colors
     is the walk's own list); a true result stops the walk.  Every string
-    handed to leaf and every prefix rejected is one node against the budget.
-    Returns (t, colors, nodes) where leaf stopped, colors None if it never did.
+    handed to leaf and every prefix rejected is one node against the budget;
+    BudgetExceededError carries the nodes spent per t.  Returns (t, colors,
+    nodes) where leaf stopped, colors None if it never did.
     """
     prefix = [0] * m
     nodes = 0
@@ -152,9 +158,18 @@ def _search(m: int, ts, checker, budget: Optional[int], leaf):
         return False
 
     initial = 0 if checker is None else checker.initial
+    per_t = {}
     try:
         for t in ts:
-            if walk(0, 0, initial):
+            start = nodes
+            try:
+                stop = walk(0, 0, initial)
+            except BudgetExceededError as err:
+                per_t[t] = err.explored - start
+                err.nodes_per_t = per_t
+                raise
+            per_t[t] = nodes - start
+            if stop:
                 return t, tuple(prefix), nodes
     finally:
         # walk's closure refers to walk: a reference cycle that would keep
@@ -181,22 +196,23 @@ def _connection_checks(graph: Graph, pattern, k: int = 1,
                        mode: str = "edge"):
     """(tester, checker, feasible) of a connection search for a Pattern or
     PROPER_RAINBOW; tester gives the witnesses.  The checker of rainbow,
-    proper and monochromatic paths is the table of the nonadjacent pairs'
-    simple paths, for proper-rainbow also each vertex's star under the
-    rainbow rule.  It keeps only feasible strings at k = 1, and at k >= 2 a
-    superset, as k disjoint fitting paths include one.  Conflict-free paths
-    die only when fully colored, so conflict-free tests each leaf."""
+    proper and monochromatic paths is a table of simple paths: at k = 1 the
+    nonadjacent pairs' (DisconnCheck), for proper-rainbow with each vertex's
+    star under the rainbow rule; at k >= 2 every pair's, with each path's
+    edges or interior vertices (DisjointCheck).  Either keeps exactly the
+    feasible strings, so feasible is None.  Conflict-free paths die only
+    when fully colored, so conflict-free tests each leaf."""
     tester = ConnCheck(graph) if k == 1 else KConnCheck(graph, k, mode)
-    test = partial(tester.connected, pattern=pattern)
     if pattern is Pattern.CONFLICT_FREE:
-        return tester, None, test
-    families = (tester if k == 1 else ConnCheck(graph)).path_families()
+        return tester, None, partial(tester.connected, pattern=pattern)
+    families = tester.path_families()
+    if k > 1:
+        return tester, DisjointCheck(graph, pattern, families, k), None
     if pattern == PROPER_RAINBOW:
         pattern = Pattern.RAINBOW
         families += [[tuple(sorted(e for _, e in nbrs))]
                      for nbrs in graph.adjacency()]
-    checker = DisconnCheck(graph, pattern, families)
-    return tester, checker, None if k == 1 else test
+    return tester, DisconnCheck(graph, pattern, families), None
 
 
 def connection_number(graph: Graph, pattern: Pattern, k: int = 1,
@@ -309,7 +325,8 @@ def count_colorings(graph: Graph, pattern: Pattern, t: int,
     (DisconnCheck), so every string they reach is feasible; conflict-free
     connected counts test every string (ConnCheck).  Nodes and budget are
     those of _search: a complete string tested or a prefix rejected;
-    BudgetExceededError names the requested t.
+    BudgetExceededError names the requested t, and its nodes_per_t is keyed
+    by band j.
     """
     if t < 1:
         raise ValueError("palette size t must be >= 1")
@@ -335,7 +352,8 @@ def count_colorings(graph: Graph, pattern: Pattern, t: int,
     try:
         _search(m, range(1, top + 1), checker, budget, leaf)
     except BudgetExceededError as err:
-        raise BudgetExceededError(budget, err.explored, t) from None
+        raise BudgetExceededError(budget, err.explored, t,
+                                  err.nodes_per_t) from None
     return sum(hits[j] * perm(t, j) for j in range(1, top + 1))
 
 

@@ -133,6 +133,36 @@ def _all_pairs(n: int):
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
+def _simple_paths(search: PathSearch, u: int, v: int):
+    """Every simple u-v path, in search order."""
+    every = range(search.graph.m)  # all colors distinct: all paths rainbow
+    return search.all_pattern_paths(every, u, v, _RAINBOW)
+
+
+def _first_disjoint(masks, k: int, avail: Optional[int] = None,
+                    used: int = 0):
+    """Indices of the first k pairwise disjoint masks, the least index tuple
+    in lexicographic order, among the indices set in the bitmask avail (all
+    by default) whose masks miss used; None if there are none.  An index is
+    never taken twice, so a zero mask is not its own partner."""
+    if avail is None:
+        avail = (1 << len(masks)) - 1
+    if avail.bit_count() < k:
+        return None
+    while avail:
+        low = avail & -avail
+        avail ^= low
+        i = low.bit_length() - 1
+        if masks[i] & used:
+            continue
+        if k == 1:
+            return [i]
+        rest = _first_disjoint(masks, k - 1, avail, used | masks[i])
+        if rest is not None:
+            return [i] + rest
+    return None
+
+
 class ConnCheck:
     """Pattern-connectivity tests for one graph across many colorings."""
 
@@ -155,9 +185,8 @@ class ConnCheck:
     def path_families(self):
         """The simple paths of each nonadjacent pair as sorted edge tuples,
         the families of a DisconnCheck connection table."""
-        every = range(self.graph.m)  # all colors distinct: all paths rainbow
-        return [[tuple(sorted(p.edges)) for p in
-                 self.search.all_pattern_paths(every, u, v, _RAINBOW)]
+        return [[tuple(sorted(p.edges)) for p in _simple_paths(self.search,
+                                                               u, v)]
                 for u, v in self.nonadjacent]
 
     def connected(self, colors: Sequence, pattern: Pattern) -> bool:
@@ -177,6 +206,18 @@ class ConnCheck:
         return tuple(out)
 
 
+def _path_order(p):
+    return p.length, p.vertices
+
+
+def _resources(paths, mode: str):
+    """What k disjoint paths may not share: per path, the bitmask of its
+    edges (edge mode) or of its interior vertices (vertex mode)."""
+    if mode == "edge":
+        return [sum(1 << e for e in p.edges) for p in paths]
+    return [sum(1 << w for w in p.vertices[1:-1]) for p in paths]
+
+
 class KConnCheck:
     """k-disjoint pattern-path tests (edge- or internally-vertex-disjoint);
     callers check k and mode first, with _check_k_connected."""
@@ -193,30 +234,20 @@ class KConnCheck:
         cand = self.search.all_pattern_paths(colors, u, v, pattern)
         if len(cand) < self.k:
             return None
-        cand.sort(key=lambda p: (p.length, p.vertices))
-        if self.mode == "edge":
-            masks = [sum(1 << e for e in p.edges) for p in cand]
-        else:
-            masks = [sum(1 << w for w in p.vertices[1:-1]) for p in cand]
-        chosen = []
+        cand.sort(key=_path_order)
+        chosen = _first_disjoint(_resources(cand, self.mode), self.k)
+        return None if chosen is None else tuple(cand[i] for i in chosen)
 
-        def pick(start: int, used: int) -> bool:
-            if len(chosen) == self.k:
-                return True
-            if len(cand) - start < self.k - len(chosen):
-                return False
-            for i in range(start, len(cand)):
-                if masks[i] & used:
-                    continue
-                chosen.append(i)
-                if pick(i + 1, used | masks[i]):
-                    return True
-                chosen.pop()
-            return False
-
-        if not pick(0, 0):
-            return None
-        return tuple(cand[i] for i in chosen)
+    def path_families(self):
+        """The simple paths of every pair, adjacent pairs included, in the
+        order _family tries them, as (sorted edge tuple, resource mask);
+        the families of a DisjointCheck table."""
+        out = []
+        for u, v in self.pairs:
+            paths = sorted(_simple_paths(self.search, u, v), key=_path_order)
+            out.append([(tuple(sorted(p.edges)), r) for p, r in
+                        zip(paths, _resources(paths, self.mode))])
+        return out
 
     def connected(self, colors: Sequence, pattern: Pattern) -> bool:
         for u, v in self.pairs:
@@ -295,6 +326,22 @@ class DisconnCheck:
     fully compared, hence fitting, member in every family.  disconnected
     and witnesses fold extend over a whole coloring; a pair's witness is the
     side of its first live cut.
+
+    DisjointCheck is the same table for k >= 2 pairwise disjoint paths: a
+    family stays alive while its live members hold k pairwise disjoint ones
+    (k distinct members, so a one-edge path, which has no interior vertex,
+    is never its own partner).  This rejects no prefix with a feasible
+    completion: the k disjoint fitting paths of each pair fit every prefix
+    of it, so no rule kills them and they stay live.  At a complete coloring
+    the live members are exactly the fitting paths, so a surviving coloring
+    has k disjoint fitting paths per pair.  Each family watches k live
+    disjoint members, and extend re-picks only the families that lost a
+    watched member; the others still hold their k.  The watched sets are
+    not restored on backtracking: extend keeps each inside the state it
+    returns, or on a rejection inside the state it was given, and a walk
+    (or a fold from initial) gives extend a state containing every state
+    returned below it.  So a watched set always lies inside the state that
+    extend is given, and it is still live if no dead member is in it.
     """
 
     def __init__(self, graph: Graph, pattern: Pattern, families=None):
@@ -381,6 +428,73 @@ class DisconnCheck:
             side = next(s for cut, s in entries if live >> self.bit[cut] & 1)
             out.append(PairWitness(u, v, side=side))
         return tuple(out)
+
+
+class DisjointCheck(DisconnCheck):
+    """The table of DisconnCheck for k >= 2 disjoint paths per pair; see its
+    docstring for why the rule is exact.  families lists each pair's paths
+    as (sorted edge tuple, resource mask), in the order the first-disjoint
+    rule of KConnCheck tries them; a simple path's edges fix its ends, so no
+    two families share a member and each family's bits are consecutive."""
+
+    def __init__(self, graph: Graph, pattern: Pattern, families, k: int):
+        super().__init__(graph, pattern,
+                         [[s for s, _ in family] for family in families])
+        self.k = k
+        self.members = []  # per family: lowest bit, all bits, resources
+        self.owner = []    # bit -> family
+        for f, family in enumerate(families):
+            self.members.append((self.bit[family[0][0]],
+                                 (1 << len(family)) - 1,
+                                 [r for _, r in family]))
+            self.owner += [f] * len(family)
+        # every member comparing edge i with an earlier edge; under the
+        # monochromatic rule that edge is the member's first, so the dead
+        # are those whose first edge has another color than edge i
+        self.touch = [0] * graph.m
+        for i, row in enumerate(self.rows):
+            for _, mask in row:
+                self.touch[i] |= mask
+        self.watched = [0] * len(families)  # per family: its k members' bits
+        self.watched_all = 0
+        for f in range(len(families)):
+            if not self._watch(f, self.initial):
+                raise ValueError(f"pair {self.pairs[f]} has no {k} "
+                                 f"disjoint paths")
+
+    def _watch(self, f: int, live: int) -> bool:
+        """Watch the first k disjoint live members of family f; False if
+        there are none."""
+        lo, full, res = self.members[f]
+        chosen = _first_disjoint(res, self.k, live >> lo & full)
+        if chosen is None:
+            return False
+        new = 0
+        for j in chosen:
+            new |= 1 << j
+        new <<= lo
+        self.watched_all = self.watched_all & ~self.watched[f] | new
+        self.watched[f] = new
+        return True
+
+    def extend(self, i: int, prefix, live: int):
+        """State after coloring edge i, or None when some family no longer
+        holds k disjoint live members."""
+        c = prefix[i]
+        dead = 0
+        for f, mask in self.rows[i]:
+            if prefix[f] == c:
+                dead |= mask
+        if self.pattern is _MONOCHROMATIC:
+            dead = self.touch[i] & ~dead
+        live &= ~dead
+        hit = dead & self.watched_all  # the watched members that died
+        while hit:
+            f = self.owner[hit.bit_length() - 1]
+            hit &= ~self.watched[f]
+            if not self._watch(f, live):
+                return None
+        return live
 
 
 # ---------------------------------------------------------------------------

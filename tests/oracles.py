@@ -16,7 +16,7 @@ test_oracles.py checks the two routes against each other on every graph where
 the literal route is affordable.
 """
 
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 # --------------------------------------------------------------- primitives
 
@@ -197,6 +197,20 @@ def is_two_edge_connected(n, edges):
                for i in range(len(edges)))
 
 
+def is_two_vertex_connected(n, edges):
+    """At least three vertices, connected, and no single vertex removal
+    disconnects it."""
+    if n < 3 or not is_connected(n, edges):
+        return False
+    for cut in range(n):
+        keep = [w for w in range(n) if w != cut]
+        index = {w: i for i, w in enumerate(keep)}
+        rest = [(index[a], index[b]) for a, b in edges if cut not in (a, b)]
+        if not is_connected(n - 1, rest):
+            return False
+    return True
+
+
 # ------------------------------------------------------- connection oracles
 
 
@@ -264,6 +278,51 @@ def literal_connection_number(n, edges, pattern):
             if _connected_under(colors, pattern, pair_paths):
                 return t
     raise AssertionError("no feasible coloring found")
+
+
+def _disjoint(edges, paths, mode):
+    """Whether the paths (edge-index tuples in walk order) share no edge
+    (mode "edge") or no interior vertex (mode "vertex")."""
+    seen = set()
+    for p in paths:
+        if mode == "edge":
+            used = set(p)
+        else:
+            ends = [v for e in p for v in edges[e]]
+            used = {v for v in ends if ends.count(v) == 2}
+        if used & seen:
+            return False
+        seen |= used
+    return True
+
+
+def oracle_k_connection_number(n, edges, pattern, k, mode):
+    """Reference k-connection number via the quotient route: every pair,
+    adjacent ones included, needs k distinct pairwise disjoint pattern
+    paths; minimizing patterns take the fewest blocks over feasible
+    partitions, the monochromatic pattern the most."""
+    m = len(edges)
+    if n == 1:
+        return 0
+    # per pair, every k-set of pairwise disjoint simple paths
+    pair_sets = [[ps for ps in combinations(simple_paths(n, edges, u, v), k)
+                  if _disjoint(edges, ps, mode)]
+                 for u, v in all_pairs(n)]
+    best = None
+    for blocks in set_partitions(list(range(m))):
+        ids = _block_ids(m, blocks)
+        if all(any(all(seq_satisfies([ids[e] for e in p], pattern)
+                       for p in ps) for ps in sets) for sets in pair_sets):
+            b = len(blocks)
+            if best is None:
+                best = b
+            elif pattern == "monochromatic":
+                best = max(best, b)
+            else:
+                best = min(best, b)
+    if best is None:
+        raise AssertionError("no feasible coloring found")
+    return best
 
 
 # ---------------------------------------------------- disconnection oracles

@@ -9,17 +9,20 @@ from oracles import (
     count_proper_vertex_colorings,
     cut_satisfies,
     is_two_edge_connected,
+    is_two_vertex_connected,
     literal_connection_number,
     literal_disconnection_number,
     minimal_separating_sets,
     oracle_connection_number,
     oracle_disconnection_number,
+    oracle_k_connection_number,
     seq_satisfies,
     set_partitions,
     simple_paths,
 )
 
-from chromaconn import connected_graphs_up_to  # corpus source only
+from chromaconn import (Pattern, build_graph, connected_graphs_up_to,
+                        connection_number)
 
 P3 = (3, [(0, 1), (1, 2)])
 C4 = (4, [(0, 1), (0, 3), (1, 2), (2, 3)])
@@ -45,6 +48,31 @@ def test_disconnection_routes_agree(pattern):
     for n, edges in corpus(4):
         assert oracle_disconnection_number(n, edges, pattern) == \
             literal_disconnection_number(n, edges, pattern), (n, edges)
+
+
+@pytest.mark.parametrize("mode", ("edge", "vertex"))
+def test_k_connection_matches_oracle(mode):
+    """connection_number at k = 2 against the oracle's own path enumeration
+    and disjointness test, on the 2-connected graphs of order <= 5 with at
+    most eight edges (and the one-vertex graph, value 0)."""
+    two_connected = (is_two_edge_connected if mode == "edge"
+                     else is_two_vertex_connected)
+    checked = 0
+    for n, edges in corpus(5):
+        if len(edges) > 8:
+            continue
+        graph = build_graph(n, edges)
+        if n > 1 and not two_connected(n, edges):
+            with pytest.raises(ValueError, match="not 2-"):
+                connection_number(graph, Pattern.RAINBOW, k=2, mode=mode)
+            continue
+        for pattern in CONNECTION_PATTERNS:
+            have = connection_number(graph, Pattern.from_name(pattern), k=2,
+                                     mode=mode).value
+            assert have == oracle_k_connection_number(
+                n, edges, pattern, 2, mode), (n, edges, pattern)
+        checked += 1
+    assert checked == (14 if mode == "edge" else 13)
 
 
 def test_seq_satisfies_cases():

@@ -15,6 +15,7 @@ from chromaconn import (
     Pattern,
     complete_graph,
     connected_graphs_up_to,
+    connection_number,
     count_colorings,
     disconnection_number,
     parse_graph6,
@@ -24,8 +25,9 @@ from chromaconn import (
 )
 from chromaconn.cli import DEFAULT_BUDGET
 from chromaconn.local import is_proper_edge_coloring
-from chromaconn.solve import _connection_checks, _optimize
-from chromaconn.verify import CUT_PATTERNS, PROPER_RAINBOW, DisconnCheck
+from chromaconn.solve import _connection_checks, _optimize, _search
+from chromaconn.verify import (CUT_PATTERNS, PROPER_RAINBOW, DisconnCheck,
+                               _check_k_connected)
 from oracles import (DSU, _connected_under, _disconnected_under,
                      _pair_cut_families, _pair_paths, all_pairs,
                      cut_satisfies, minimal_separating_sets)
@@ -123,6 +125,22 @@ def test_path_table_accepts_exactly_the_connected_strings():
                 assert _accepted(g.m, t, lambda s: True, checker) == want
 
 
+@pytest.mark.parametrize("mode", ("edge", "vertex"))
+def test_k2_walk_accepts_exactly_the_k_connected_strings(mode):
+    # the walk backtracks without restoring the watched disjoint sets
+    for g in SMALL:
+        try:
+            _check_k_connected(g, 2, mode)
+        except ValueError:
+            continue
+        for pattern in CUT_PATTERNS:
+            tester, checker, _ = _connection_checks(g, pattern, 2, mode)
+            for t in range(1, g.m + 1):
+                want = [s for s in restricted_growth_strings(g.m, t, True)
+                        if tester.connected(s, pattern)]
+                assert _accepted(g.m, t, lambda s: True, checker) == want
+
+
 def test_adjacent_checker_accepts_exactly_the_proper_rainbow_strings():
     for g in SMALL:
         paths = _pair_paths(g.n, g.edges)
@@ -161,3 +179,26 @@ def test_budget_error_names_the_palette_size():
     with pytest.raises(BudgetExceededError) as err:
         count_colorings(complete_graph(4), Pattern.RAINBOW, 3, budget=5)
     assert err.value.t == 3 and err.value.explored == 5
+
+
+def test_budget_error_reports_nodes_per_t():
+    # mc at k = 2 on K4 refutes t = 6, 5, 4 and finds its string at t = 3
+    k4 = complete_graph(4)
+    full = connection_number(k4, Pattern.MONOCHROMATIC, k=2)
+    assert full.value == 3
+    budget = full.nodes_explored - 1
+    with pytest.raises(BudgetExceededError) as err:
+        connection_number(k4, Pattern.MONOCHROMATIC, k=2, budget=budget)
+    per_t = err.value.nodes_per_t
+    assert list(per_t) == [6, 5, 4, 3]
+    assert sum(per_t.values()) == err.value.explored == budget
+    _, checker, _ = _connection_checks(k4, Pattern.MONOCHROMATIC, 2, "edge")
+    for t in (6, 5, 4):
+        assert _search(k4.m, (t,), checker, None, None)[2] == per_t[t]
+    assert str(err.value) == (f"budget of {budget} nodes exhausted after "
+                              f"{budget}, searching palette size t=3")
+    # counts: per band j; K4 has no nonadjacent pair, so every string is a
+    # node, S(6, 1) + S(6, 2) of them below band 3
+    with pytest.raises(BudgetExceededError) as err:
+        count_colorings(k4, Pattern.RAINBOW, 3, budget=121)
+    assert err.value.nodes_per_t == {1: 1, 2: 31, 3: 89}

@@ -21,9 +21,12 @@ from chromaconn import (
     is_pattern_k_connected,
     is_proper_rainbow_connected,
     path_graph,
+    restricted_growth_strings,
     star_graph,
     verify_certificate,
 )
+from chromaconn.solve import _connection_checks
+from chromaconn.verify import _check_k_connected
 
 from oracles import (
     cut_satisfies,
@@ -137,6 +140,34 @@ def test_k_connected_check():
     assert vcert is not None and vcert.mode == "vertex"
     assert verify_certificate(complete_graph(4),
                               EdgeColoring(tuple(range(6)), 6), vcert)
+
+
+@pytest.mark.parametrize("mode", ("edge", "vertex"))
+def test_k2_table_accepts_exactly_the_k_connected_colorings(mode):
+    """Folding the k = 2 table's extend over a whole coloring accepts it
+    exactly when KConnCheck finds two disjoint pattern paths per pair, on
+    every canonical coloring of the 2-connected graphs of order <= 5 with at
+    most seven edges.  K3 is among them: a one-edge path must not count as
+    its own vertex-disjoint partner."""
+    graphs = []
+    for g in connected_graphs_up_to(5):
+        if g.n < 3 or g.m > 7:
+            continue
+        try:
+            _check_k_connected(g, 2, mode)
+        except ValueError:
+            continue
+        graphs.append(g)
+    assert complete_graph(3).edges in [g.edges for g in graphs]
+    for g in graphs:
+        for pattern in (Pattern.RAINBOW, Pattern.PROPER,
+                        Pattern.MONOCHROMATIC):
+            tester, checker, feasible = _connection_checks(g, pattern, 2,
+                                                           mode)
+            assert feasible is None
+            for colors in restricted_growth_strings(g.m, g.m):
+                assert (checker._live(colors) is not None) == \
+                    tester.connected(colors, pattern), (g.edges, colors)
 
 
 def test_k_and_mode_checked_in_one_order():
