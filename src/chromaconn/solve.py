@@ -7,9 +7,9 @@ the first feasible t is optimal because any coloring with exactly t' distinct
 colors is enumerated at t'.  Within the optimal t the first feasible string in
 lexicographic order is returned, so results are deterministic.  All three
 optimizers run this search through _optimize and differ only in their
-preconditions, their t-scan, their leaf test and their forward checker.
-count_colorings runs the same walk over t = 1..min(palette, m) without an
-early exit and weights each feasible string by its labelings.
+preconditions, their t-scan and their forward checker.  count_colorings runs
+the same walk over t = 1..min(palette, m) without an early exit and weights
+each feasible string by its labelings.
 
 _search is the one walk.  It visits restricted-growth prefixes depth first,
 coloring edges in index order and trying values in increasing order, so
@@ -21,9 +21,9 @@ without it.  Every forward checker is a verify.DisconnCheck table of pair
 cut families (disconnection) or of path and star families
 (_connection_checks), and at k >= 2 its DisjointCheck form, whose families
 must keep k disjoint live paths.  Every string a checker keeps is feasible,
-so only conflict-free connection, which has no checker, tests its strings.
+so no search tests its complete strings.
 
-One node of work is a complete string tested or a prefix rejected.  Runtimes
+One node of work is a complete string reached or a prefix rejected.  Runtimes
 are exponential; a budget of nodes turns an over-large instance into an
 explicit BudgetExceededError rather than a wrong answer.  Each prefix the walk
 visits has a node below it, so a node costs at most m prefix steps.
@@ -32,7 +32,6 @@ visits has a node below it, so a node costs at most m prefix steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from math import perm
 from typing import Optional
 
@@ -178,14 +177,13 @@ def _search(m: int, ts, checker, budget: Optional[int], leaf):
     return None, None, nodes
 
 
-def _optimize(m: int, ts, feasible, make_certificate, objective: str,
-              budget: Optional[int], checker=None) -> SolveResult:
+def _optimize(m: int, ts, make_certificate, objective: str,
+              budget: Optional[int], checker) -> SolveResult:
     """The first t in ts, and within it the first canonical string, that
-    the checker keeps and that passes feasible(colors) (None accepts all);
-    make_certificate(colors) builds the witnesses of that string."""
-    t, colors, nodes = _search(
-        m, ts, checker, budget,
-        lambda t, colors: feasible is None or feasible(colors))
+    the checker keeps; make_certificate(colors) builds the witnesses of
+    that string."""
+    t, colors, nodes = _search(m, ts, checker, budget,
+                               lambda t, colors: True)
     if colors is None:
         raise AssertionError("search space exhausted unexpectedly")
     return SolveResult(t, EdgeColoring(colors, t), make_certificate(colors),
@@ -194,25 +192,23 @@ def _optimize(m: int, ts, feasible, make_certificate, objective: str,
 
 def _connection_checks(graph: Graph, pattern, k: int = 1,
                        mode: str = "edge"):
-    """(tester, checker, feasible) of a connection search for a Pattern or
-    PROPER_RAINBOW; tester gives the witnesses.  The checker of rainbow,
-    proper and monochromatic paths is a table of simple paths: at k = 1 the
-    nonadjacent pairs' (DisconnCheck), for proper-rainbow with each vertex's
-    star under the rainbow rule; at k >= 2 every pair's, with each path's
-    edges or interior vertices (DisjointCheck).  Either keeps exactly the
-    feasible strings, so feasible is None.  Conflict-free paths die only
-    when fully colored, so conflict-free tests each leaf."""
+    """(tester, checker) of a connection search for a Pattern or
+    PROPER_RAINBOW; tester gives the witnesses.  The checker is a table of
+    simple paths: at k = 1 the nonadjacent pairs' (DisconnCheck), for
+    proper-rainbow with each vertex's star under the rainbow rule; at k >= 2
+    every pair's, with each path's edges or interior vertices
+    (DisjointCheck).  Either keeps exactly the feasible strings, under the
+    conflict-free rule too, which decides a path when its last edge is
+    colored."""
     tester = ConnCheck(graph) if k == 1 else KConnCheck(graph, k, mode)
-    if pattern is Pattern.CONFLICT_FREE:
-        return tester, None, partial(tester.connected, pattern=pattern)
     families = tester.path_families()
     if k > 1:
-        return tester, DisjointCheck(graph, pattern, families, k), None
+        return tester, DisjointCheck(graph, pattern, families, k)
     if pattern == PROPER_RAINBOW:
         pattern = Pattern.RAINBOW
         families += [[tuple(sorted(e for _, e in nbrs))]
                      for nbrs in graph.adjacency()]
-    return tester, DisconnCheck(graph, pattern, families), None
+    return tester, DisconnCheck(graph, pattern, families)
 
 
 def connection_number(graph: Graph, pattern: Pattern, k: int = 1,
@@ -233,12 +229,12 @@ def connection_number(graph: Graph, pattern: Pattern, k: int = 1,
     if graph.n == 1:
         return _trivial_result(pattern.value, kind, objective, cert_k,
                                cert_mode)
-    tester, checker, feasible = _connection_checks(graph, pattern, k, mode)
+    tester, checker = _connection_checks(graph, pattern, k, mode)
     m = graph.m
     ts = (range(max(1, b.lower), m + 1) if objective == "min"
           else range(m, 0, -1))
     return _optimize(
-        m, ts, feasible,
+        m, ts,
         lambda colors: Certificate(kind, pattern.value,
                                    tester.witnesses(colors, pattern),
                                    k=cert_k, mode=cert_mode),
@@ -283,7 +279,7 @@ def disconnection_number(graph: Graph, pattern: Pattern,
     else:
         ts = range(1, m + 1)
     return _optimize(
-        m, ts, None,
+        m, ts,
         lambda colors: Certificate("disconnection", pattern.value,
                                    checker.witnesses(colors)),
         objective, budget, checker)
@@ -297,12 +293,12 @@ def proper_rainbow_connection_number(graph: Graph,
         raise ValueError("connection numbers require a connected graph")
     if graph.n == 1:
         return _trivial_result(PROPER_RAINBOW, "connection", "min")
-    tester, checker, _ = _connection_checks(graph, PROPER_RAINBOW)
+    tester, checker = _connection_checks(graph, PROPER_RAINBOW)
     m = graph.m
     maxdeg = max(graph.degree(v) for v in range(graph.n))
     lower = max(1, diameter(graph), maxdeg)
     result = _optimize(
-        m, range(lower, m + 1), None,
+        m, range(lower, m + 1),
         lambda colors: Certificate("connection", PROPER_RAINBOW,
                                    tester.witnesses(colors, Pattern.RAINBOW)),
         "min", budget, checker)
@@ -320,13 +316,11 @@ def count_colorings(graph: Graph, pattern: Pattern, t: int,
     colors, and weights each feasible class with the number of its
     labelings, t (t-1) ... (t-j+1), which is exact because the properties
     are invariant under renaming colors.  Disconnected counts forward-check
-    prefixes with the pair cut families, and rainbow, proper and
-    monochromatic connected counts with the pair path families
-    (DisconnCheck), so every string they reach is feasible; conflict-free
-    connected counts test every string (ConnCheck).  Nodes and budget are
-    those of _search: a complete string tested or a prefix rejected;
-    BudgetExceededError names the requested t, and its nodes_per_t is keyed
-    by band j.
+    prefixes with the pair cut families, and connected counts with the pair
+    path families (DisconnCheck), so every string they reach is feasible
+    and none is tested.  Nodes and budget are those of _search: a complete
+    string reached or a prefix rejected; BudgetExceededError names the
+    requested t, and its nodes_per_t is keyed by band j.
     """
     if t < 1:
         raise ValueError("palette size t must be >= 1")
@@ -342,13 +336,12 @@ def count_colorings(graph: Graph, pattern: Pattern, t: int,
     top = min(t, m)
     hits = [0] * (top + 1)  # feasible canonical strings per band j
     if prop == "connected":
-        _, checker, test = _connection_checks(graph, pattern)
+        _, checker = _connection_checks(graph, pattern)
     else:
-        checker, test = DisconnCheck(graph, pattern), None
+        checker = DisconnCheck(graph, pattern)
 
     def leaf(j, colors):  # returns None, so the walk never stops
-        if test is None or test(colors):
-            hits[j] += 1
+        hits[j] += 1
     try:
         _search(m, range(1, top + 1), checker, budget, leaf)
     except BudgetExceededError as err:

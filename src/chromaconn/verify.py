@@ -15,6 +15,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .coloring import (
+    _CONFLICT_FREE,
     _MONOCHROMATIC,
     _PROPER,
     _RAINBOW,
@@ -133,10 +134,29 @@ def _all_pairs(n: int):
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
-def _simple_paths(search: PathSearch, u: int, v: int):
-    """Every simple u-v path, in search order."""
-    every = range(search.graph.m)  # all colors distinct: all paths rainbow
-    return search.all_pattern_paths(every, u, v, _RAINBOW)
+def _simple_paths(adj, u: int, v: int):
+    """Every simple u-v path as (vertices, edges), adj being a graph's
+    adjacency(): depth first, neighbours in ascending order, the order in
+    which PathSearch walks them."""
+    out = []
+    _grow_paths(adj, v, 1 << u, [u], [], out)
+    return out
+
+
+def _grow_paths(adj, v: int, visited: int, verts, edges, out):
+    """Append to out every simple path to v extending verts (edges), whose
+    vertices are the bits of visited."""
+    for y, e in adj[verts[-1]]:
+        if visited >> y & 1:
+            continue
+        verts.append(y)
+        edges.append(e)
+        if y == v:
+            out.append((tuple(verts), tuple(edges)))
+        else:
+            _grow_paths(adj, v, visited | 1 << y, verts, edges, out)
+        verts.pop()
+        edges.pop()
 
 
 def _first_disjoint(masks, k: int, avail: Optional[int] = None,
@@ -185,8 +205,8 @@ class ConnCheck:
     def path_families(self):
         """The simple paths of each nonadjacent pair as sorted edge tuples,
         the families of a DisconnCheck connection table."""
-        return [[tuple(sorted(p.edges)) for p in _simple_paths(self.search,
-                                                               u, v)]
+        adj = self.graph.adjacency()
+        return [[tuple(sorted(es)) for _, es in _simple_paths(adj, u, v)]
                 for u, v in self.nonadjacent]
 
     def connected(self, colors: Sequence, pattern: Pattern) -> bool:
@@ -206,16 +226,18 @@ class ConnCheck:
         return tuple(out)
 
 
-def _path_order(p):
-    return p.length, p.vertices
+def _path_order(path):
+    vertices, edges = path
+    return len(edges), vertices
 
 
 def _resources(paths, mode: str):
-    """What k disjoint paths may not share: per path, the bitmask of its
-    edges (edge mode) or of its interior vertices (vertex mode)."""
+    """What k disjoint paths, given as (vertices, edges), may not share: per
+    path, the bitmask of its edges (edge mode) or of its interior vertices
+    (vertex mode)."""
     if mode == "edge":
-        return [sum(1 << e for e in p.edges) for p in paths]
-    return [sum(1 << w for w in p.vertices[1:-1]) for p in paths]
+        return [sum(1 << e for e in es) for _, es in paths]
+    return [sum(1 << w for w in vs[1:-1]) for vs, _ in paths]
 
 
 class KConnCheck:
@@ -230,22 +252,24 @@ class KConnCheck:
         self.pairs = _all_pairs(graph.n)
 
     def _family(self, colors: Sequence, u: int, v: int, pattern: Pattern):
-        """k pairwise disjoint pattern paths, or None."""
-        cand = self.search.all_pattern_paths(colors, u, v, pattern)
+        """The vertex tuples of k pairwise disjoint pattern paths, or None."""
+        cand = [(p.vertices, p.edges) for p in
+                self.search.all_pattern_paths(colors, u, v, pattern)]
         if len(cand) < self.k:
             return None
         cand.sort(key=_path_order)
         chosen = _first_disjoint(_resources(cand, self.mode), self.k)
-        return None if chosen is None else tuple(cand[i] for i in chosen)
+        return None if chosen is None else tuple(cand[i][0] for i in chosen)
 
     def path_families(self):
         """The simple paths of every pair, adjacent pairs included, in the
         order _family tries them, as (sorted edge tuple, resource mask);
         the families of a DisjointCheck table."""
+        adj = self.graph.adjacency()
         out = []
         for u, v in self.pairs:
-            paths = sorted(_simple_paths(self.search, u, v), key=_path_order)
-            out.append([(tuple(sorted(p.edges)), r) for p, r in
+            paths = sorted(_simple_paths(adj, u, v), key=_path_order)
+            out.append([(tuple(sorted(es)), r) for (_, es), r in
                         zip(paths, _resources(paths, self.mode))])
         return out
 
@@ -261,9 +285,7 @@ class KConnCheck:
             fam = self._family(colors, u, v, pattern)
             if fam is None:
                 return None
-            out.append(
-                PairWitness(u, v, paths=tuple(p.vertices for p in fam))
-            )
+            out.append(PairWitness(u, v, paths=fam))
         return tuple(out)
 
 
@@ -295,11 +317,26 @@ def _cut_ok(colors, cut, adjacent, pattern: Pattern) -> bool:
     raise ValueError(f"pattern {pattern.value} has no cut form")
 
 
+def _unfit_conflict_free(row, colors) -> int:
+    """The union of the masks of the members (s, mask) in row on whose
+    edges no color occurs exactly once."""
+    dead = 0
+    for s, mask in row:
+        once = twice = 0
+        for e in s:
+            bit = 1 << colors[e]
+            twice |= once & bit
+            once |= bit
+        if not once & ~twice:
+            dead |= mask
+    return dead
+
+
 class DisconnCheck:
-    """Table of edge-set families under one of the rainbow, proper and
-    monochromatic rules: a coloring passes when every family keeps a member
-    that fits.  It tests and certifies disconnection, and it is the forward
-    checker of solve._search for cuts, paths and stars.
+    """Table of edge-set families under one of the four pattern rules: a
+    coloring passes when every family keeps a member that fits.  It tests
+    and certifies disconnection, and it is the forward checker of
+    solve._search for cuts, paths and stars.
 
     families defaults to the pair cut families, and then cuts[k] lists pair
     k's bipartitions as (cut, side), sorted by (size, edges), side being the
@@ -315,37 +352,53 @@ class DisconnCheck:
 
     Members are pooled, one bit each, and the state of a colored prefix
     (edges are colored in index order) is the bitmask of members still
-    alive.  The rules are pairwise constraints, so when edge i gets its
-    color it is compared with a member's earlier edges only: with every one
-    (rainbow), with those sharing an endpoint (proper), or with the first
-    (monochromatic, equality being transitive).  rows[i] lists (f, mask),
-    mask being the members comparing edge i with edge f < i; they die when
-    the colors are equal (rainbow, proper) or differ (monochromatic), for
-    every completion of the prefix.  A prefix is rejected as soon as a
-    family has no live member, so a complete coloring that survives has a
-    fully compared, hence fitting, member in every family.  disconnected
-    and witnesses fold extend over a whole coloring; a pair's witness is the
-    side of its first live cut.
+    alive.  The rainbow, proper and monochromatic rules are pairwise
+    constraints, so when edge i gets its color it is compared with a
+    member's earlier edges only: with every one (rainbow), with those
+    sharing an endpoint (proper), or with the first (monochromatic,
+    equality being transitive).  rows[i] lists (f, mask), mask being the
+    members comparing edge i with edge f < i; they die when the colors are
+    equal (rainbow, proper) or differ (monochromatic), for every completion
+    of the prefix.
+
+    The conflict-free rule is not pairwise and has no cut form, so it needs
+    explicit families.  A member is decided when its last (highest-index)
+    edge is colored: rows[i] lists (s, mask) for each member s of two or
+    more edges whose last edge is i, and it dies then if no color occurs on
+    s exactly once (a one-edge member always fits).  Edges are colored in
+    index order, so by then every edge of s has its color, the same in
+    every completion: the member dies exactly when no completion makes it
+    fit, and a conflict-free path is never killed.
+
+    So under every rule a member dies only when no completion of the prefix
+    makes it fit, and at a complete coloring, where every member has been
+    fully compared or decided, the live members are exactly the fitting
+    ones.  A prefix is rejected as soon as a family has no live member: it
+    rejects no prefix with a feasible completion, whose fitting members are
+    never killed, and a complete coloring that survives has a fitting
+    member in every family.  disconnected and witnesses fold extend over a
+    whole coloring; a pair's witness is the side of its first live cut.
 
     DisjointCheck is the same table for k >= 2 pairwise disjoint paths: a
     family stays alive while its live members hold k pairwise disjoint ones
     (k distinct members, so a one-edge path, which has no interior vertex,
     is never its own partner).  This rejects no prefix with a feasible
-    completion: the k disjoint fitting paths of each pair fit every prefix
-    of it, so no rule kills them and they stay live.  At a complete coloring
-    the live members are exactly the fitting paths, so a surviving coloring
-    has k disjoint fitting paths per pair.  Each family watches k live
-    disjoint members, and extend re-picks only the families that lost a
-    watched member; the others still hold their k.  The watched sets are
-    not restored on backtracking: extend keeps each inside the state it
-    returns, or on a rejection inside the state it was given, and a walk
-    (or a fold from initial) gives extend a state containing every state
-    returned below it.  So a watched set always lies inside the state that
-    extend is given, and it is still live if no dead member is in it.
+    completion: the k disjoint paths that fit it in each pair are never
+    killed on its prefixes, so they stay live.  At a complete coloring the
+    live members are exactly the fitting paths, so a surviving coloring has
+    k disjoint fitting paths per pair.  Both hold under all four rules, by
+    the argument above.  Each family watches k live disjoint members, and
+    extend re-picks only the families that lost a watched member; the
+    others still hold their k.  The watched sets are not restored on
+    backtracking: extend keeps each inside the state it returns, or on a
+    rejection inside the state it was given, and a walk (or a fold from
+    initial) gives extend a state containing every state returned below
+    it.  So a watched set always lies inside the state that extend is
+    given, and it is still live if no dead member is in it.
     """
 
     def __init__(self, graph: Graph, pattern: Pattern, families=None):
-        if pattern not in CUT_PATTERNS:
+        if families is None and pattern not in CUT_PATTERNS:
             raise ValueError(f"pattern {pattern.value} has no cut form")
         self.graph = graph
         self.pattern = pattern
@@ -362,6 +415,7 @@ class DisconnCheck:
                 self.cuts.append(entries)
         self.bit = {}  # distinct member -> its bit
         compare = {}   # (f, i) with f < i -> mask of members comparing i, f
+        self.rows = [[] for _ in range(graph.m)]
         self.family_masks = []
         for family in families:
             mask = 0
@@ -369,18 +423,20 @@ class DisconnCheck:
                 b = self.bit.get(s)
                 if b is None:
                     b = self.bit[s] = len(self.bit)
+                    pairs = ()
                     if pattern is _MONOCHROMATIC:
                         pairs = [(s[0], e) for e in s[1:]]
                     elif pattern is _RAINBOW:
                         pairs = combinations(s, 2)
-                    else:
+                    elif pattern is _PROPER:
                         pairs = _cut_adjacent_pairs(graph, s)
+                    elif len(s) > 1:
+                        self.rows[s[-1]].append((s, 1 << b))
                     for fi in pairs:
                         compare[fi] = compare.get(fi, 0) | 1 << b
                 mask |= 1 << b
             self.family_masks.append(mask)
         self.initial = (1 << len(self.bit)) - 1
-        self.rows = [[] for _ in range(graph.m)]
         for (f, i), mask in compare.items():
             self.rows[i].append((f, mask))
 
@@ -393,6 +449,8 @@ class DisconnCheck:
             for f, mask in self.rows[i]:
                 if prefix[f] != c:
                     dead |= mask
+        elif self.pattern is _CONFLICT_FREE:
+            dead = _unfit_conflict_free(self.rows[i], prefix)
         else:
             for f, mask in self.rows[i]:
                 if prefix[f] == c:
@@ -480,13 +538,16 @@ class DisjointCheck(DisconnCheck):
     def extend(self, i: int, prefix, live: int):
         """State after coloring edge i, or None when some family no longer
         holds k disjoint live members."""
-        c = prefix[i]
-        dead = 0
-        for f, mask in self.rows[i]:
-            if prefix[f] == c:
-                dead |= mask
-        if self.pattern is _MONOCHROMATIC:
-            dead = self.touch[i] & ~dead
+        if self.pattern is _CONFLICT_FREE:
+            dead = _unfit_conflict_free(self.rows[i], prefix)
+        else:
+            c = prefix[i]
+            dead = 0
+            for f, mask in self.rows[i]:
+                if prefix[f] == c:
+                    dead |= mask
+            if self.pattern is _MONOCHROMATIC:
+                dead = self.touch[i] & ~dead
         live &= ~dead
         hit = dead & self.watched_all  # the watched members that died
         while hit:

@@ -1,4 +1,4 @@
-"""The prefix walk of solve._optimize and its forward checkers.
+"""The prefix walk of solve._search and its forward checkers.
 
 Without a checker the walk must reach complete strings in the order of
 restricted_growth_strings; with one it must accept exactly the strings that
@@ -25,27 +25,27 @@ from chromaconn import (
 )
 from chromaconn.cli import DEFAULT_BUDGET
 from chromaconn.local import is_proper_edge_coloring
-from chromaconn.solve import _connection_checks, _optimize, _search
+from chromaconn.solve import _connection_checks, _search
 from chromaconn.verify import (CUT_PATTERNS, PROPER_RAINBOW, DisconnCheck,
                                _check_k_connected)
 from oracles import (DSU, _connected_under, _disconnected_under,
                      _pair_cut_families, _pair_paths, all_pairs,
                      cut_satisfies, minimal_separating_sets)
 
+PATH_PATTERNS = CUT_PATTERNS + (Pattern.CONFLICT_FREE,)
+
 SMALL = [g for g in connected_graphs_up_to(5) if 1 <= g.m <= 7]
 
 
-def _accepted(m, t, feasible, checker):
-    """Every complete string the walk hands to feasible at palette size t."""
+def _accepted(m, t, checker):
+    """Every complete string the walk keeps at palette size t."""
     seen = []
 
-    def record(colors):
-        if feasible(colors):
-            seen.append(tuple(colors))
+    def record(t, colors):
+        seen.append(tuple(colors))
         return False
 
-    with pytest.raises(AssertionError, match="exhausted"):
-        _optimize(m, (t,), record, None, "min", None, checker)
+    assert _search(m, (t,), checker, None, record)[1] is None
     return seen
 
 
@@ -55,14 +55,13 @@ def test_walk_without_checker_visits_canonical_order():
             want = list(restricted_growth_strings(m, t, surjective=True))
             seen = []
 
-            def last(colors):
+            def last(t, colors):
                 seen.append(tuple(colors))
                 return len(seen) == len(want)
 
-            r = _optimize(m, (t,), last, tuple, "min", None)
+            assert _search(m, (t,), None, None, last) == (t, want[-1],
+                                                          len(want))
             assert seen == want
-            assert r.nodes_explored == len(want)
-            assert r.optimal_coloring == EdgeColoring(want[-1], t)
 
 
 def test_cut_checker_accepts_exactly_the_disconnected_strings():
@@ -74,7 +73,7 @@ def test_cut_checker_accepts_exactly_the_disconnected_strings():
                 want = [s for s in restricted_growth_strings(g.m, t, True)
                         if _disconnected_under(g.edges, s, pattern.value,
                                                families)]
-                assert _accepted(g.m, t, lambda s: True, checker) == want
+                assert _accepted(g.m, t, checker) == want
 
 
 def _u_side(n, edges, removed, u):
@@ -113,16 +112,15 @@ def test_witnesses_side_with_the_first_fitting_minimal_cut():
 def test_path_table_accepts_exactly_the_connected_strings():
     for g in SMALL:
         paths = _pair_paths(g.n, g.edges)
-        for pattern in CUT_PATTERNS:
-            _, checker, feasible = _connection_checks(g, pattern)
-            assert feasible is None
+        for pattern in PATH_PATTERNS:
+            _, checker = _connection_checks(g, pattern)
             # no nonadjacent pair, no family: a complete graph's table
             # constrains nothing
             assert (checker.family_masks == []) == (paths == [])
             for t in range(1, g.m + 1):
                 want = [s for s in restricted_growth_strings(g.m, t, True)
                         if _connected_under(s, pattern.value, paths)]
-                assert _accepted(g.m, t, lambda s: True, checker) == want
+                assert _accepted(g.m, t, checker) == want
 
 
 @pytest.mark.parametrize("mode", ("edge", "vertex"))
@@ -133,23 +131,23 @@ def test_k2_walk_accepts_exactly_the_k_connected_strings(mode):
             _check_k_connected(g, 2, mode)
         except ValueError:
             continue
-        for pattern in CUT_PATTERNS:
-            tester, checker, _ = _connection_checks(g, pattern, 2, mode)
+        for pattern in PATH_PATTERNS:
+            tester, checker = _connection_checks(g, pattern, 2, mode)
             for t in range(1, g.m + 1):
                 want = [s for s in restricted_growth_strings(g.m, t, True)
                         if tester.connected(s, pattern)]
-                assert _accepted(g.m, t, lambda s: True, checker) == want
+                assert _accepted(g.m, t, checker) == want
 
 
 def test_adjacent_checker_accepts_exactly_the_proper_rainbow_strings():
     for g in SMALL:
         paths = _pair_paths(g.n, g.edges)
-        _, checker, _ = _connection_checks(g, PROPER_RAINBOW)
+        _, checker = _connection_checks(g, PROPER_RAINBOW)
         for t in range(1, g.m + 1):
             want = [s for s in restricted_growth_strings(g.m, t, True)
                     if is_proper_edge_coloring(g, EdgeColoring(s, g.m))
                     and _connected_under(s, "rainbow", paths)]
-            assert _accepted(g.m, t, lambda s: True, checker) == want
+            assert _accepted(g.m, t, checker) == want
 
 
 def test_k6_solves_with_verified_certificates():
@@ -192,7 +190,7 @@ def test_budget_error_reports_nodes_per_t():
     per_t = err.value.nodes_per_t
     assert list(per_t) == [6, 5, 4, 3]
     assert sum(per_t.values()) == err.value.explored == budget
-    _, checker, _ = _connection_checks(k4, Pattern.MONOCHROMATIC, 2, "edge")
+    _, checker = _connection_checks(k4, Pattern.MONOCHROMATIC, 2, "edge")
     for t in (6, 5, 4):
         assert _search(k4.m, (t,), checker, None, None)[2] == per_t[t]
     assert str(err.value) == (f"budget of {budget} nodes exhausted after "

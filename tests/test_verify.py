@@ -25,8 +25,9 @@ from chromaconn import (
     star_graph,
     verify_certificate,
 )
+from chromaconn.coloring import PathSearch
 from chromaconn.solve import _connection_checks
-from chromaconn.verify import _check_k_connected
+from chromaconn.verify import DisconnCheck, _check_k_connected, _simple_paths
 
 from oracles import (
     cut_satisfies,
@@ -160,11 +161,8 @@ def test_k2_table_accepts_exactly_the_k_connected_colorings(mode):
         graphs.append(g)
     assert complete_graph(3).edges in [g.edges for g in graphs]
     for g in graphs:
-        for pattern in (Pattern.RAINBOW, Pattern.PROPER,
-                        Pattern.MONOCHROMATIC):
-            tester, checker, feasible = _connection_checks(g, pattern, 2,
-                                                           mode)
-            assert feasible is None
+        for pattern in Pattern:
+            tester, checker = _connection_checks(g, pattern, 2, mode)
             for colors in restricted_growth_strings(g.m, g.m):
                 assert (checker._live(colors) is not None) == \
                     tester.connected(colors, pattern), (g.edges, colors)
@@ -187,6 +185,25 @@ def test_conflict_free_has_no_disconnection():
     with pytest.raises(ValueError):
         is_pattern_disconnected(path_graph(3), EdgeColoring((0, 1), 2),
                                 Pattern.CONFLICT_FREE)
+    # the table takes the conflict-free rule only with explicit families
+    with pytest.raises(ValueError, match="conflict_free has no cut form"):
+        DisconnCheck(path_graph(3), Pattern.CONFLICT_FREE)
+
+
+def test_simple_paths_lists_every_path_in_search_order():
+    """The path tables' enumerator gives each pair's simple paths on the
+    census up to order 6: as a set, those of the oracle; in order, those
+    of PathSearch under all-distinct colors, the order the tables had."""
+    for g in connected_graphs_up_to(6):
+        search = PathSearch(g)
+        for u in range(g.n):
+            for v in range(u + 1, g.n):
+                got = _simple_paths(g.adjacency(), u, v)
+                assert sorted(es for _, es in got) == sorted(
+                    simple_paths(g.n, g.edges, u, v))
+                assert got == [(p.vertices, p.edges) for p in
+                               search.all_pattern_paths(range(g.m), u, v,
+                                                        Pattern.RAINBOW)]
 
 
 def test_proper_rainbow_check():
