@@ -394,6 +394,36 @@ def uv_bipartitions(graph: Graph, u: int, v: int):
         yield tuple(sorted(side)), cut
 
 
+def _induces_connected(adj, mask: int) -> bool:
+    """Whether the vertices in the nonzero bitmask mask induce a connected
+    subgraph, adj being neighbour_masks(graph)."""
+    reach = frontier = mask & -mask
+    while frontier:
+        w = frontier.bit_length() - 1
+        new = adj[w] & mask & ~reach
+        reach |= new
+        frontier = (frontier ^ 1 << w) | new
+    return reach == mask
+
+
+def bonds(graph: Graph):
+    """Yield (side, cut) for every bond: a bipartition of the vertices whose
+    two sides both induce connected subgraphs.  side is the sorted vertex
+    tuple of the side holding vertex 0; cut is the sorted tuple of crossing
+    edge indices.  In a connected graph the bonds separating u from v are
+    exactly its inclusion-minimal u-v cuts.
+    """
+    adj = neighbour_masks(graph)
+    full = (1 << graph.n) - 1
+    for side in range(1, full, 2):  # vertex 0 in, some vertex out
+        if not (_induces_connected(adj, side)
+                and _induces_connected(adj, full ^ side)):
+            continue
+        cut = tuple(i for i, (a, b) in enumerate(graph.edges)
+                    if (side >> a ^ side >> b) & 1)
+        yield tuple(w for w in range(graph.n) if side >> w & 1), cut
+
+
 # ---------------------------------------------------------------------------
 # derived graphs
 

@@ -27,9 +27,12 @@ from .coloring import (
 from .graph import (
     Graph,
     bfs_distances,
+    bonds,
     crossing_cut,
     is_connected,
     max_disjoint_paths,
+    # not called here; it stays because perfbench/tracing.py patches this
+    # name and perfbench/test_bench.py checks it is graph.uv_bipartitions
     uv_bipartitions,
 )
 from .local import is_proper_edge_coloring
@@ -289,15 +292,34 @@ class KConnCheck:
         return tuple(out)
 
 
-def _cut_adjacent_pairs(graph: Graph, cut):
-    pairs = []
-    for i in range(len(cut)):
-        a, b = graph.edges[cut[i]]
-        for j in range(i + 1, len(cut)):
-            c, d = graph.edges[cut[j]]
-            if a == c or a == d or b == c or b == d:
-                pairs.append((cut[i], cut[j]))
-    return tuple(pairs)
+def _edge_ends(graph: Graph):
+    """Per edge, the bitmask of its two endpoints."""
+    return [1 << a | 1 << b for a, b in graph.edges]
+
+
+def _adjacent_pairs(ends, s):
+    """The pairs (s[i], s[j]), i < j, of edges sharing an endpoint, ends
+    being _edge_ends(graph)."""
+    return [(e, f) for e, f in combinations(s, 2) if ends[e] & ends[f]]
+
+
+def _pair_bonds(graph: Graph, pairs):
+    """Per pair (u, v) of pairs, its bonds as (cut, u-side), sorted by
+    (size, edges): small first, as a pair's first live cut is its witness.
+    The bonds are found and sorted once, then dealt to the pairs they
+    separate."""
+    index = {p: k for k, p in enumerate(pairs)}
+    out = [[] for _ in pairs]
+    for side, cut in sorted(bonds(graph),
+                            key=lambda bond: (len(bond[1]), bond[1])):
+        rest = tuple(w for w in range(graph.n) if w not in side)
+        for a in side:
+            for b in rest:
+                if a < b:
+                    out[index[a, b]].append((cut, side))
+                else:
+                    out[index[b, a]].append((cut, rest))
+    return out
 
 
 def _cut_ok(colors, cut, adjacent, pattern: Pattern) -> bool:
@@ -339,16 +361,13 @@ class DisconnCheck:
     solve._search for cuts, paths and stars.
 
     families defaults to the pair cut families, and then cuts[k] lists pair
-    k's bipartitions as (cut, side), sorted by (size, edges), side being the
-    u-side; no two share a cut C, as G is connected and the edges of C join
-    components of G - C on opposite sides, so u's side fixes every other.
-    Bipartition crossing cuts suffice: any separating edge set contains the
-    crossing cut of the u-component after removal, and the three rules are
-    preserved by passing to subsets.  Given families, lists of sorted edge
-    tuples, replace the cuts; an empty list constrains nothing.  The edges
-    of a simple path that share an endpoint are its consecutive ones, so the
-    proper rule is the proper-path rule, and a one-member family holding a
-    vertex's star, under the rainbow rule, says its edges differ.
+    k's bonds (minimal cuts) as (cut, side), sorted by (size, edges), side
+    being the u-side; G must be connected.  Why bonds suffice is below.
+    Given families, lists of sorted edge tuples, replace the cuts; an empty
+    list constrains nothing.  The edges of a simple path that share an
+    endpoint are its consecutive ones, so the proper rule is the proper-path
+    rule, and a one-member family holding a vertex's star, under the rainbow
+    rule, says its edges differ.
 
     Members are pooled, one bit each, and the state of a colored prefix
     (edges are colored in index order) is the bitmask of members still
@@ -379,6 +398,23 @@ class DisconnCheck:
     member in every family.  disconnected and witnesses fold extend over a
     whole coloring; a pair's witness is the side of its first live cut.
 
+    A pair's bonds give the same nodes and witnesses as all its crossing
+    cuts d(S), u in S, which suffice: a u-v separating edge set contains
+    the crossing cut of u's side after its removal.
+    - A non-bond d(S) contains a bond.  Let S' be u's component of G[S] and
+      T v's component of G - S'.  V - T is connected, as every other
+      component of G - S' is adjacent to S', so d(T) is a bond, and d(T)
+      lies in d(S'), which lies in d(S).
+    - Under the rainbow, proper and monochromatic rules a subset of a live
+      member is live at every prefix (monochromatic: the subset's first
+      edge is colored no earlier than the superset's).  So a live d(S)
+      contains a live bond: no family empties at a different prefix, and
+      the nodes stay.
+    - As G is connected, a u-v cut fixes its u-side, so d(T) is strictly
+      smaller than a non-bond d(S) and sorts first: a pair's first live cut
+      is a bond, and the witnesses stay.  The minimum cuts behind rd's
+      lambda+ bound are bonds too.
+
     DisjointCheck is the same table for k >= 2 pairwise disjoint paths: a
     family stays alive while its live members hold k pairwise disjoint ones
     (k distinct members, so a one-edge path, which has no interior vertex,
@@ -405,14 +441,10 @@ class DisconnCheck:
         self.pairs = _all_pairs(graph.n)
         self.cuts = None  # pair cut families only: witnesses need them
         if families is None:
-            families, self.cuts = [], []
-            for u, v in self.pairs:
-                # small first: a pair's first live cut is its witness
-                entries = sorted(((cut, side) for side, cut
-                                  in uv_bipartitions(graph, u, v)),
-                                 key=lambda e: (len(e[0]), e[0]))
-                families.append([cut for cut, _ in entries])
-                self.cuts.append(entries)
+            _require_connected(graph)
+            self.cuts = _pair_bonds(graph, self.pairs)
+            families = [[cut for cut, _ in entries] for entries in self.cuts]
+        ends = _edge_ends(graph)
         self.bit = {}  # distinct member -> its bit
         compare = {}   # (f, i) with f < i -> mask of members comparing i, f
         self.rows = [[] for _ in range(graph.m)]
@@ -429,7 +461,7 @@ class DisconnCheck:
                     elif pattern is _RAINBOW:
                         pairs = combinations(s, 2)
                     elif pattern is _PROPER:
-                        pairs = _cut_adjacent_pairs(graph, s)
+                        pairs = _adjacent_pairs(ends, s)
                     elif len(s) > 1:
                         self.rows[s[-1]].append((s, 1 << b))
                     for fi in pairs:
@@ -705,6 +737,7 @@ def _verify(graph: Graph, coloring: EdgeColoring, cert: Certificate) -> bool:
         pattern = Pattern.from_name(cert.pattern)
         if pattern not in CUT_PATTERNS:
             return False
+        ends = _edge_ends(graph)
         for w in cert.pairs:
             if w.side is None or w.paths is not None:
                 return False
@@ -718,7 +751,7 @@ def _verify(graph: Graph, coloring: EdgeColoring, cert: Certificate) -> bool:
             cut = tuple(sorted(crossing_cut(graph, side)))
             if not cut:
                 return False
-            if not _cut_ok(colors, cut, _cut_adjacent_pairs(graph, cut), pattern):
+            if not _cut_ok(colors, cut, _adjacent_pairs(ends, cut), pattern):
                 return False
         return True
 

@@ -135,6 +135,16 @@ def separates(n, edges, removed, u, v):
     return not d.same(u, v)
 
 
+def u_side(n, edges, removed, u):
+    """The sorted vertices of u's component once the edge set `removed` is
+    deleted."""
+    d = DSU(n)
+    for i, (a, b) in enumerate(edges):
+        if i not in removed:
+            d.union(a, b)
+    return tuple(w for w in range(n) if d.same(u, w))
+
+
 def minimal_separating_sets(n, edges, u, v):
     """All inclusion-minimal u-v separating edge sets, by full subset scan."""
     m = len(edges)

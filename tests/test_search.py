@@ -28,9 +28,9 @@ from chromaconn.local import is_proper_edge_coloring
 from chromaconn.solve import _connection_checks, _search
 from chromaconn.verify import (CUT_PATTERNS, PROPER_RAINBOW, DisconnCheck,
                                _check_k_connected)
-from oracles import (DSU, _connected_under, _disconnected_under,
+from oracles import (_connected_under, _disconnected_under,
                      _pair_cut_families, _pair_paths, all_pairs,
-                     cut_satisfies, minimal_separating_sets)
+                     cut_satisfies, minimal_separating_sets, u_side)
 
 PATH_PATTERNS = CUT_PATTERNS + (Pattern.CONFLICT_FREE,)
 
@@ -76,21 +76,13 @@ def test_cut_checker_accepts_exactly_the_disconnected_strings():
                 assert _accepted(g.m, t, checker) == want
 
 
-def _u_side(n, edges, removed, u):
-    d = DSU(n)
-    for i, (a, b) in enumerate(edges):
-        if i not in removed:
-            d.union(a, b)
-    return tuple(w for w in range(n) if d.same(u, w))
-
-
 def test_witnesses_side_with_the_first_fitting_minimal_cut():
     # a fitting cut's minimal subsets fit too and come first in (size,
     # edges) order, so each pair's first fitting cut is a bond, whose u-side
     # is u's component once it is removed
     for g in SMALL:
         pairs = all_pairs(g.n)
-        families = [[(cut, _u_side(g.n, g.edges, cut, u))
+        families = [[(cut, u_side(g.n, g.edges, cut, u))
                      for cut in minimal_separating_sets(g.n, g.edges, u, v)]
                     for u, v in pairs]
         for pattern in CUT_PATTERNS:

@@ -27,13 +27,15 @@ from chromaconn import (
 )
 from chromaconn.coloring import PathSearch
 from chromaconn.solve import _connection_checks
-from chromaconn.verify import DisconnCheck, _check_k_connected, _simple_paths
+from chromaconn.verify import (CUT_PATTERNS, DisconnCheck, _check_k_connected,
+                               _simple_paths)
 
 from oracles import (
     cut_satisfies,
     minimal_separating_sets,
     seq_satisfies,
     simple_paths,
+    u_side,
 )
 
 # ------------------------------------------------------------ serialization
@@ -188,6 +190,27 @@ def test_conflict_free_has_no_disconnection():
     # the table takes the conflict-free rule only with explicit families
     with pytest.raises(ValueError, match="conflict_free has no cut form"):
         DisconnCheck(path_graph(3), Pattern.CONFLICT_FREE)
+
+
+def test_cut_tables_list_exactly_each_pairs_bonds():
+    """Per pair, on the census up to order 5, the cut table lists the
+    oracle's minimal separating edge sets in (size, edges) order, each with
+    u's component once it is removed as its side."""
+    for g in connected_graphs_up_to(5):
+        want = [[(tuple(sorted(s)), u_side(g.n, g.edges, s, u))
+                 for s in minimal_separating_sets(g.n, g.edges, u, v)]
+                for u in range(g.n) for v in range(u + 1, g.n)]
+        for pattern in CUT_PATTERNS:
+            assert DisconnCheck(g, pattern).cuts == want, (g, pattern)
+
+
+def test_cut_tables_require_a_connected_graph():
+    # a pair in different components would get an empty family, which
+    # extend, looking only when a member dies, would never notice
+    g = build_graph(4, [(0, 1), (2, 3)])
+    for pattern in CUT_PATTERNS:
+        with pytest.raises(ValueError, match="connected"):
+            DisconnCheck(g, pattern)
 
 
 def test_simple_paths_lists_every_path_in_search_order():
