@@ -26,12 +26,16 @@ so no search tests its complete strings.
 One node of work is a complete string reached or a prefix rejected.  Runtimes
 are exponential; a budget of nodes turns an over-large instance into an
 explicit BudgetExceededError rather than a wrong answer.  Each prefix the walk
-visits has a node below it, so a node costs at most m prefix steps.
+visits has a node below it, so a node costs at most m prefix steps.  Counting
+stops at settled prefixes, below which every string is feasible, and adds
+their strings as nodes in closed form without visiting them, so its nodes
+are those of the full walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import perm
 from typing import Optional
 
@@ -117,7 +121,17 @@ def _trivial_result(pattern_name: str, kind: str, objective: str,
     return SolveResult(0, EdgeColoring((), 0), cert, 0, objective)
 
 
-def _search(m: int, ts, checker, budget: Optional[int], leaf):
+@cache
+def _tails(r: int, u: int, t: int) -> int:
+    """N(r, u, t): restricted-growth tails of length r that start with u
+    colors used and end with exactly t."""
+    if r == 0 or u + r < t:
+        return int(u == t)
+    return u * _tails(r - 1, u, t) + (_tails(r - 1, u + 1, t) if u < t
+                                      else 0)
+
+
+def _search(m: int, ts, checker, budget: Optional[int], leaf, tally=None):
     """The one prefix walk: for each t in ts, the restricted-growth strings
     of length m with exactly t colors, depth first in value order.
 
@@ -126,13 +140,45 @@ def _search(m: int, ts, checker, budget: Optional[int], leaf):
     returns the state of prefix[:i+1], or None to reject that prefix and its
     subtree.  The walk keeps one state per depth, so backtracking restores
     it.  leaf(t, colors) gets each complete string the checker kept (colors
-    is the walk's own list); a true result stops the walk.  Every string
-    handed to leaf and every prefix rejected is one node against the budget;
+    is the walk's own list); a true result stops the walk.
+
+    tally(t, n), if given, adds settled subtrees in closed form; leaf must
+    then never stop the walk, and checker must be a DisconnCheck (not its
+    DisjointCheck form).  A prefix ending at edge i, or the root with i =
+    -1 and done[-1] = 0, is settled when live & done[i] meets every family
+    mask, done being checker.settle_masks(): every family has a live member
+    whose last edge is colored.  The walk then hands tally the number n =
+    N(slack, used, t) (_tails) of strings below it and does not descend.
+    Proof: a member dies only in extend(j) for an edge j of its own, as
+    rows[j] lists only members containing j and conflict-free members are
+    decided at their last edge.  So a member live once its last edge is
+    colored stays live in every completion, no prefix below a settled one
+    is rejected, and each of its n strings would reach leaf as one node.
+
+    Every string handed to leaf or counted by tally and every prefix
+    rejected is one node against the budget, so the nodes, the strings
+    counted and the budget errors are those of the full walk: when a
+    settled subtree would pass the budget, the error has explored = budget,
+    as leaf by leaf.
     BudgetExceededError carries the nodes spent per t.  Returns (t, colors,
     nodes) where leaf stopped, colors None if it never did.
     """
     prefix = [0] * m
     nodes = 0
+    first = m  # lowest depth a settled prefix can have; -1 is the root
+    if tally is not None:
+        done = checker.settle_masks()
+        families = checker.family_masks
+        first = -1 if not families else next(
+            (i for i in range(m) if all(done[i] & f for f in families)), m)
+
+    def settle(used: int, slack: int):
+        nonlocal nodes
+        n = _tails(slack, used, t)
+        if budget is not None and nodes + n > budget:
+            raise BudgetExceededError(budget, budget, t)
+        nodes += n
+        tally(t, n)
 
     def walk(i: int, used: int, state) -> bool:
         nonlocal nodes
@@ -146,6 +192,14 @@ def _search(m: int, ts, checker, budget: Optional[int], leaf):
             nstate = state if checker is None else checker.extend(
                 i, prefix, state)
             if nstate is not None and not last:
+                if i >= first:
+                    good = nstate & done[i]
+                    for f in families:
+                        if not good & f:
+                            break
+                    else:
+                        settle(nused, slack)
+                        continue
                 if walk(i + 1, nused, nstate):
                     return True
                 continue
@@ -162,7 +216,11 @@ def _search(m: int, ts, checker, budget: Optional[int], leaf):
         for t in ts:
             start = nodes
             try:
-                stop = walk(0, 0, initial)
+                if first < 0:
+                    settle(0, m)
+                    stop = False
+                else:
+                    stop = walk(0, 0, initial)
             except BudgetExceededError as err:
                 per_t[t] = err.explored - start
                 err.nodes_per_t = per_t
@@ -318,9 +376,12 @@ def count_colorings(graph: Graph, pattern: Pattern, t: int,
     are invariant under renaming colors.  Disconnected counts forward-check
     prefixes with the pair cut families, and connected counts with the pair
     path families (DisconnCheck), so every string they reach is feasible
-    and none is tested.  Nodes and budget are those of _search: a complete
-    string reached or a prefix rejected; BudgetExceededError names the
-    requested t, and its nodes_per_t is keyed by band j.
+    and none is tested.  Below a settled prefix, where every family keeps a
+    live member whose edges are all colored, _search adds the number of
+    strings in closed form instead of visiting them.  Nodes and budget are
+    those of the full walk: a complete string reached, visited or not, or a
+    prefix rejected; BudgetExceededError names the requested t, and its
+    nodes_per_t is keyed by band j.
     """
     if t < 1:
         raise ValueError("palette size t must be >= 1")
@@ -340,10 +401,13 @@ def count_colorings(graph: Graph, pattern: Pattern, t: int,
     else:
         checker = DisconnCheck(graph, pattern)
 
+    def tally(j, n):
+        hits[j] += n
+
     def leaf(j, colors):  # returns None, so the walk never stops
         hits[j] += 1
     try:
-        _search(m, range(1, top + 1), checker, budget, leaf)
+        _search(m, range(1, top + 1), checker, budget, leaf, tally)
     except BudgetExceededError as err:
         raise BudgetExceededError(budget, err.explored, t,
                                   err.nodes_per_t) from None

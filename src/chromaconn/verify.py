@@ -495,6 +495,19 @@ class DisconnCheck:
                 return None
         return live
 
+    def settle_masks(self) -> list:
+        """done[i], the members whose last edge is at most i.  Once its
+        last edge is colored a live member stays live: rows[i] only lists
+        members containing edge i.  So below a prefix ending at edge i whose
+        live & done[i] meets every family mask, extend rejects nothing.
+        This is the one-member rule; DisjointCheck's families need k."""
+        done = [0] * self.graph.m
+        for s, b in self.bit.items():
+            done[s[-1]] |= 1 << b
+        for i in range(1, len(done)):
+            done[i] |= done[i - 1]
+        return done
+
     def _live(self, colors: Sequence):
         live = self.initial
         for i in range(self.graph.m):

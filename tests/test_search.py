@@ -7,6 +7,9 @@ path tables are measured against the brute-force cut and path families of
 oracles.py, as a table's whole-coloring test and its witnesses share it.
 """
 
+from itertools import product
+from math import perm
+
 import pytest
 
 from chromaconn import (
@@ -25,7 +28,7 @@ from chromaconn import (
 )
 from chromaconn.cli import DEFAULT_BUDGET
 from chromaconn.local import is_proper_edge_coloring
-from chromaconn.solve import _connection_checks, _search
+from chromaconn.solve import _connection_checks, _search, _tails
 from chromaconn.verify import (CUT_PATTERNS, PROPER_RAINBOW, DisconnCheck,
                                _check_k_connected)
 from oracles import (_connected_under, _disconnected_under,
@@ -192,3 +195,80 @@ def test_budget_error_reports_nodes_per_t():
     with pytest.raises(BudgetExceededError) as err:
         count_colorings(k4, Pattern.RAINBOW, 3, budget=121)
     assert err.value.nodes_per_t == {1: 1, 2: 31, 3: 89}
+
+
+# ------------------------------------------------------ settled subtrees
+
+
+def _brute_tails(r, t):
+    """counts[u]: the strings of length r over range(t) that continue a
+    restricted-growth prefix with u colors used and end with exactly t."""
+    counts = [0] * (t + 1)
+    for tail in product(range(t), repeat=r):
+        reached = 0  # 1 + the largest value so far
+        need = 0     # a value above reached must be an old color: u >= it
+        for c in tail:
+            if c >= reached:
+                if c > reached and c > need:
+                    need = c
+                reached = c + 1
+        for u in range(need, t + 1):
+            if max(u, reached) == t:
+                counts[u] += 1
+    return counts
+
+
+def test_tails_count_the_restricted_growth_tails():
+    for t in range(1, 6):
+        for r in range(9):
+            assert [_tails(r, u, t) for u in range(t + 1)] == \
+                _brute_tails(r, t), (r, t)
+
+
+def _budget_error(run):
+    try:
+        run()
+    except BudgetExceededError as err:
+        return err.budget, err.explored, err.t, err.nodes_per_t
+    return None
+
+
+def test_count_adds_settled_subtrees_as_the_walk_would():
+    # count_colorings counts each settled subtree in closed form; the plain
+    # walk, with no tally, reaches every string below it one by one
+    for g in connected_graphs_up_to(5):
+        if g.m == 0:
+            continue
+        for prop, patterns in (("connected", PATH_PATTERNS),
+                               ("disconnected", CUT_PATTERNS)):
+            for pattern in patterns:
+                for t in range(1, 5):
+                    top = min(t, g.m)
+                    checker = (_connection_checks(g, pattern)[1]
+                               if prop == "connected"
+                               else DisconnCheck(g, pattern))
+                    hits = [0] * (top + 1)
+
+                    def leaf(j, colors):
+                        hits[j] += 1
+
+                    def plain(budget):
+                        try:
+                            return _search(g.m, range(1, top + 1), checker,
+                                           budget, leaf)[2]
+                        except BudgetExceededError as err:
+                            raise BudgetExceededError(
+                                budget, err.explored, t,
+                                err.nodes_per_t) from None
+
+                    def count(budget):
+                        return count_colorings(g, pattern, t, prop, budget)
+
+                    cell = (g, pattern, prop, t)
+                    nodes = plain(None)
+                    assert count(nodes) == sum(
+                        hits[j] * perm(t, j) for j in range(1, top + 1)), cell
+                    for budget in {1, 7, 100, nodes - 1} - {0}:
+                        want = _budget_error(lambda: plain(budget))
+                        assert _budget_error(lambda: count(budget)) == \
+                            want, (cell, budget)

@@ -203,8 +203,9 @@ def test_count_budget_counts_nodes_of_the_walk():
         count_colorings(k4, Pattern.MONOCHROMATIC, 3, prop="disconnected",
                         budget=26)
     assert err.value.explored == 26 and err.value.t == 3
-    # connected counts test every string with at most t colors:
-    # S(6,1) + S(6,2) + S(6,3) = 1 + 31 + 90
+    # K4 has no nonadjacent pair, so its connected count is settled at the
+    # root: each string with at most t colors is one node, counted without
+    # being visited, S(6,1) + S(6,2) + S(6,3) = 1 + 31 + 90
     count_colorings(k4, Pattern.RAINBOW, 3, budget=122)
     with pytest.raises(BudgetExceededError) as err:
         count_colorings(k4, Pattern.RAINBOW, 3, budget=121)
