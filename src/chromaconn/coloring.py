@@ -1,4 +1,5 @@
-"""Edge colorings, path patterns, and pattern-path search.
+"""Edge colorings, path patterns, and pattern-path search: graph.simple_paths
+under a prefix test of the pattern.
 
 A pattern constrains the color sequence read along a path:
 
@@ -12,12 +13,12 @@ Zero-length and one-edge paths satisfy every pattern.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional, Sequence
 
-from .graph import Graph, Path
+from .graph import Graph, Path, simple_paths
 
 
 class Pattern(Enum):
@@ -106,14 +107,32 @@ def path_satisfies(coloring: EdgeColoring, path: Path, pattern: Pattern) -> bool
     return _seq_satisfies([coloring.colors[e] for e in path.edges], pattern)
 
 
+def _prefix_test(colors: Sequence, pattern: Pattern):
+    """fits(edges, end) for graph.simple_paths: whether the walk's edges,
+    ending with the new one, can still start (or, with end, be) a pattern
+    path.  Rainbow, proper and monochromatic are prefix-closed, so the new
+    edge's color is compared only with every earlier edge's, the previous
+    edge's, or the first edge's.  Conflict-free is tested at the end."""
+    if pattern is _RAINBOW:
+        return lambda edges, end: colors[edges[-1]] not in [
+            colors[f] for f in edges[:-1]]
+    if pattern is _PROPER:
+        return lambda edges, end: (len(edges) < 2 or
+                                   colors[edges[-2]] != colors[edges[-1]])
+    if pattern is _MONOCHROMATIC:
+        return lambda edges, end: colors[edges[0]] == colors[edges[-1]]
+    if pattern is _CONFLICT_FREE:
+        return lambda edges, end: not end or _seq_satisfies(
+            [colors[f] for f in edges], _CONFLICT_FREE)
+    raise ValueError(f"unknown pattern {pattern!r}")
+
+
 class PathSearch:
-    """Pattern-path queries against one graph, reusable across colorings.
+    """Pattern-path queries against one graph, reusable across colorings:
+    graph.simple_paths under the pattern's prefix test.
 
     Search is over simple paths only.  A state-space walk over (vertex, last
-    color) would accept proper walks that shortcut to no proper simple path,
-    so rainbow/proper/conflict_free use depth-first search over simple paths
-    with pattern pruning; monochromatic reduces to connectivity inside one
-    color class.
+    color) would accept proper walks that shortcut to no proper simple path.
     """
 
     def __init__(self, graph: Graph):
@@ -122,7 +141,7 @@ class PathSearch:
 
     def find(self, colors: Sequence, u: int, v: int,
              pattern: Pattern) -> Optional[Path]:
-        """First pattern path from u to v in deterministic search order."""
+        """First pattern path from u to v in simple_paths order."""
         g = self.graph
         if not (0 <= u < g.n and 0 <= v < g.n):
             raise ValueError("endpoint out of range")
@@ -130,74 +149,16 @@ class PathSearch:
             raise ValueError("coloring length differs from edge count")
         if u == v:
             return Path((u,), ())
-        if pattern is _MONOCHROMATIC:
-            return self._find_mono(colors, u, v)
-        out = []
-        self._walk(colors, u, v, pattern, 1 << u, [u], [], out, True)
-        return out[0] if out else None
+        found = simple_paths(self.adj, u, v, _prefix_test(colors, pattern),
+                             first=True)
+        return Path(*found[0]) if found else None
 
-    def _find_mono(self, colors, u, v) -> Optional[Path]:
-        for c in sorted(set(colors)):
-            prev = {u: None}
-            q = deque([u])
-            while q:
-                x = q.popleft()
-                for y, e in self.adj[x]:
-                    if colors[e] == c and y not in prev:
-                        prev[y] = x
-                        q.append(y)
-            if v in prev:
-                verts = [v]
-                while prev[verts[-1]] is not None:
-                    verts.append(prev[verts[-1]])
-                verts.reverse()
-                return Path.from_vertices(self.graph, verts)
-        return None
-
+    # no caller in the package; kept for perfbench/tracing.py's patch
     def all_pattern_paths(self, colors: Sequence, u: int, v: int,
                           pattern: Pattern):
         """Every simple u-v path satisfying the pattern, in search order."""
-        out = []
-        self._walk(colors, u, v, pattern, 1 << u, [u], [], out, False)
-        return out
-
-    def _walk(self, colors, x, v, pattern, visited, verts, eidx, out,
-              first) -> bool:
-        """Depth-first extension of the simple path verts (edges eidx) that
-        ends at x; appends each pattern path reaching v to out.  With first
-        set, stops at the first one and returns True."""
-        rainbow = pattern is _RAINBOW
-        proper = pattern is _PROPER
-        mono = pattern is _MONOCHROMATIC
-        conflict_free = pattern is _CONFLICT_FREE
-        for y, e in self.adj[x]:
-            if visited & (1 << y):
-                continue
-            c = colors[e]
-            if rainbow:
-                if any(colors[f] == c for f in eidx):
-                    continue
-            elif proper:
-                if eidx and colors[eidx[-1]] == c:
-                    continue
-            elif mono:
-                if eidx and colors[eidx[0]] != c:
-                    continue
-            verts.append(y)
-            eidx.append(e)
-            if y == v:
-                if not conflict_free or _seq_satisfies(
-                    [colors[f] for f in eidx], _CONFLICT_FREE
-                ):
-                    out.append(Path(tuple(verts), tuple(eidx)))
-                    if first:
-                        return True
-            elif self._walk(colors, y, v, pattern, visited | (1 << y),
-                            verts, eidx, out, first):
-                return True
-            verts.pop()
-            eidx.pop()
-        return False
+        return [Path(*p) for p in simple_paths(
+            self.adj, u, v, _prefix_test(colors, pattern))]
 
 
 def exists_pattern_path(graph: Graph, coloring: EdgeColoring, u: int, v: int,

@@ -238,6 +238,44 @@ def diameter(graph: Graph) -> int:
 
 
 # ---------------------------------------------------------------------------
+# simple paths
+
+def simple_paths(adj, u: int, v: int, fits=None, first: bool = False):
+    """Every simple u-v path as (vertices, edges), adj being a graph's
+    adjacency(): depth first, neighbours in ascending order, so in
+    lexicographic order of the vertex tuples.  The path tables and the
+    pattern-path search both run this one walk.
+
+    fits(edges, end), if given, tests each extension: edges ends with the
+    new edge, and end says whether it reaches v.  A false answer drops the
+    extension and every path through it.  first stops at the first path."""
+    out = []
+    _extend_paths(adj, v, 1 << u, [u], [], out, fits, first)
+    return out
+
+
+def _extend_paths(adj, v: int, visited: int, verts, edges, out, fits,
+                  first) -> bool:
+    """simple_paths' walk from verts (edges), the bits of visited."""
+    for y, e in adj[verts[-1]]:
+        if visited >> y & 1:
+            continue
+        verts.append(y)
+        edges.append(e)
+        if fits is None or fits(edges, y == v):
+            if y == v:
+                out.append((tuple(verts), tuple(edges)))
+                if first:
+                    return True
+            elif _extend_paths(adj, v, visited | 1 << y, verts, edges, out,
+                               fits, first):
+                return True
+        verts.pop()
+        edges.pop()
+    return False
+
+
+# ---------------------------------------------------------------------------
 # disjoint paths (unit-capacity max flow)
 
 def _max_flow_unit(num_nodes: int, arcs, s: int, t: int):

@@ -51,7 +51,6 @@ from .verify import (
     ConnCheck,
     CUT_PATTERNS,
     DisconnCheck,
-    DisjointCheck,
     KConnCheck,
     _check_k_connected,
     certificate_to_dict,
@@ -251,22 +250,13 @@ def _optimize(m: int, ts, make_certificate, objective: str,
 def _connection_checks(graph: Graph, pattern, k: int = 1,
                        mode: str = "edge"):
     """(tester, checker) of a connection search for a Pattern or
-    PROPER_RAINBOW; tester gives the witnesses.  The checker is a table of
-    simple paths: at k = 1 the nonadjacent pairs' (DisconnCheck), for
-    proper-rainbow with each vertex's star under the rainbow rule; at k >= 2
-    every pair's, with each path's edges or interior vertices
-    (DisjointCheck).  Either keeps exactly the feasible strings, under the
-    conflict-free rule too, which decides a path when its last edge is
-    colored."""
+    PROPER_RAINBOW: a ConnCheck (k = 1) or KConnCheck, and its table of
+    simple paths, a DisconnCheck or DisjointCheck, from which
+    tester.witnesses reads the witnesses.  Either table keeps exactly the
+    feasible strings, under the conflict-free rule too, which decides a
+    path when its last edge is colored."""
     tester = ConnCheck(graph) if k == 1 else KConnCheck(graph, k, mode)
-    families = tester.path_families()
-    if k > 1:
-        return tester, DisjointCheck(graph, pattern, families, k)
-    if pattern == PROPER_RAINBOW:
-        pattern = Pattern.RAINBOW
-        families += [[tuple(sorted(e for _, e in nbrs))]
-                     for nbrs in graph.adjacency()]
-    return tester, DisconnCheck(graph, pattern, families)
+    return tester, tester.table(pattern)
 
 
 def connection_number(graph: Graph, pattern: Pattern, k: int = 1,
@@ -294,7 +284,7 @@ def connection_number(graph: Graph, pattern: Pattern, k: int = 1,
     return _optimize(
         m, ts,
         lambda colors: Certificate(kind, pattern.value,
-                                   tester.witnesses(colors, pattern),
+                                   tester.witnesses(colors, checker),
                                    k=cert_k, mode=cert_mode),
         objective, budget, checker)
 
@@ -358,7 +348,7 @@ def proper_rainbow_connection_number(graph: Graph,
     result = _optimize(
         m, range(lower, m + 1),
         lambda colors: Certificate("connection", PROPER_RAINBOW,
-                                   tester.witnesses(colors, Pattern.RAINBOW)),
+                                   tester.witnesses(colors, checker)),
         "min", budget, checker)
     assert is_proper_edge_coloring(graph, result.optimal_coloring)
     return result

@@ -22,6 +22,7 @@ from .coloring import (
     EdgeColoring,
     Pattern,
     PathSearch,
+    _prefix_test,
     _seq_satisfies,
 )
 from .graph import (
@@ -31,6 +32,7 @@ from .graph import (
     crossing_cut,
     is_connected,
     max_disjoint_paths,
+    simple_paths,
     # not called here; it stays because perfbench/tracing.py patches this
     # name and perfbench/test_bench.py checks it is graph.uv_bipartitions
     uv_bipartitions,
@@ -137,31 +139,6 @@ def _all_pairs(n: int):
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
-def _simple_paths(adj, u: int, v: int):
-    """Every simple u-v path as (vertices, edges), adj being a graph's
-    adjacency(): depth first, neighbours in ascending order, the order in
-    which PathSearch walks them."""
-    out = []
-    _grow_paths(adj, v, 1 << u, [u], [], out)
-    return out
-
-
-def _grow_paths(adj, v: int, visited: int, verts, edges, out):
-    """Append to out every simple path to v extending verts (edges), whose
-    vertices are the bits of visited."""
-    for y, e in adj[verts[-1]]:
-        if visited >> y & 1:
-            continue
-        verts.append(y)
-        edges.append(e)
-        if y == v:
-            out.append((tuple(verts), tuple(edges)))
-        else:
-            _grow_paths(adj, v, visited | 1 << y, verts, edges, out)
-        verts.pop()
-        edges.pop()
-
-
 def _first_disjoint(masks, k: int, avail: Optional[int] = None,
                     used: int = 0):
     """Indices of the first k pairwise disjoint masks, the least index tuple
@@ -186,32 +163,48 @@ def _first_disjoint(masks, k: int, avail: Optional[int] = None,
     return None
 
 
+def _path_vertices(graph: Graph, edges, u: int) -> tuple:
+    """The vertex tuple, from its end u, of the simple path on edges."""
+    verts, rest = [u], set(edges)
+    while rest:
+        e = next(e for e in rest if verts[-1] in graph.edges[e])
+        rest.remove(e)
+        verts.append(sum(graph.edges[e]) - verts[-1])
+    return tuple(verts)
+
+
 class ConnCheck:
-    """Pattern-connectivity tests for one graph across many colorings."""
+    """Pattern-connectivity tests for one graph across many colorings; the
+    witnesses are read from table(pattern), a search's forward checker."""
 
     def __init__(self, graph: Graph):
         self.graph = graph
         self.search = PathSearch(graph)
-        dist = {}
-        for u in range(graph.n):
-            d = bfs_distances(graph, u)
-            for v in range(u + 1, graph.n):
-                dist[(u, v)] = d[v]
+        dist = [bfs_distances(graph, u) for u in range(graph.n)]
         self.pairs = _all_pairs(graph.n)
         # single-edge paths satisfy every pattern, so only nonadjacent pairs
         # can fail; test the most distant first to fail fast
         self.nonadjacent = sorted(
             (p for p in self.pairs if not graph.has_edge(*p)),
-            key=lambda p: (-dist[p], p),
+            key=lambda p: (-dist[p[0]][p[1]], p),
         )
 
-    def path_families(self):
-        """The simple paths of each nonadjacent pair as sorted edge tuples,
-        the families of a DisconnCheck connection table."""
+    def table(self, pattern) -> DisconnCheck:
+        """The DisconnCheck of each nonadjacent pair's simple paths, as
+        sorted edge tuples in simple_paths order; for PROPER_RAINBOW, under
+        the rainbow rule, then each vertex's star as a one-member family.
+        A path's edges fix its ends, so the paths take their bits in family
+        order, and the stars take later bits or share a path's."""
         adj = self.graph.adjacency()
-        return [[tuple(sorted(es)) for _, es in _simple_paths(adj, u, v)]
-                for u, v in self.nonadjacent]
+        families = [[tuple(sorted(es)) for _, es in simple_paths(adj, u, v)]
+                    for u, v in self.nonadjacent]
+        if pattern == PROPER_RAINBOW:
+            pattern = Pattern.RAINBOW
+            families += [[tuple(sorted(e for _, e in nbrs))] for nbrs in adj]
+        return DisconnCheck(self.graph, pattern, families)
 
+    # no caller in the package; kept for perfbench/tracing.py's patch and
+    # perfbench/build_reference.py
     def connected(self, colors: Sequence, pattern: Pattern) -> bool:
         find = self.search.find
         for u, v in self.nonadjacent:
@@ -219,25 +212,33 @@ class ConnCheck:
                 return False
         return True
 
-    def witnesses(self, colors: Sequence, pattern: Pattern):
+    def witnesses(self, colors: Sequence, table: DisconnCheck):
+        """Per pair, its first fitting path in simple_paths order under
+        table's pattern, or None if a pair has none.  Folded over colors,
+        table, from self.table, keeps exactly the fitting paths: a
+        nonadjacent pair's witness is its family's lowest live bit.  An
+        adjacent pair, outside the table, walks."""
+        live = table._live(colors)
+        if live is None:
+            return None
+        family = dict(zip(self.nonadjacent, table.family_masks))
+        members = list(table.bit)
         out = []
         for u, v in self.pairs:
-            p = self.search.find(colors, u, v, pattern)
-            if p is None:
-                return None
-            out.append(PairWitness(u, v, paths=(p.vertices,)))
+            mask = family.get((u, v))
+            if mask is None:
+                path = self.search.find(colors, u, v, table.pattern).vertices
+            else:
+                low = live & mask
+                bit = (low & -low).bit_length() - 1
+                path = _path_vertices(self.graph, members[bit], u)
+            out.append(PairWitness(u, v, paths=(path,)))
         return tuple(out)
 
 
-def _path_order(path):
-    vertices, edges = path
-    return len(edges), vertices
-
-
 def _resources(paths, mode: str):
-    """What k disjoint paths, given as (vertices, edges), may not share: per
-    path, the bitmask of its edges (edge mode) or of its interior vertices
-    (vertex mode)."""
+    """Per path (vertices, edges), what k disjoint paths may not share: the
+    bitmask of its edges (edge mode) or of its interior vertices."""
     if mode == "edge":
         return [sum(1 << e for e in es) for _, es in paths]
     return [sum(1 << w for w in vs[1:-1]) for vs, _ in paths]
@@ -245,50 +246,53 @@ def _resources(paths, mode: str):
 
 class KConnCheck:
     """k-disjoint pattern-path tests (edge- or internally-vertex-disjoint);
-    callers check k and mode first, with _check_k_connected."""
+    callers check k and mode first, with _check_k_connected.  As in
+    ConnCheck, the witnesses are read from table(pattern)."""
 
     def __init__(self, graph: Graph, k: int, mode: str):
-        self.graph = graph
-        self.k = k
-        self.mode = mode
-        self.search = PathSearch(graph)
+        self.graph, self.k, self.mode = graph, k, mode
         self.pairs = _all_pairs(graph.n)
 
-    def _family(self, colors: Sequence, u: int, v: int, pattern: Pattern):
-        """The vertex tuples of k pairwise disjoint pattern paths, or None."""
-        cand = [(p.vertices, p.edges) for p in
-                self.search.all_pattern_paths(colors, u, v, pattern)]
-        if len(cand) < self.k:
-            return None
-        cand.sort(key=_path_order)
-        chosen = _first_disjoint(_resources(cand, self.mode), self.k)
-        return None if chosen is None else tuple(cand[i][0] for i in chosen)
+    def _paths(self, u: int, v: int, fits=None):
+        """The simple u-v paths that fits keeps (all by default), in the
+        (length, vertices) order that the first-disjoint rule tries."""
+        return sorted(simple_paths(self.graph.adjacency(), u, v, fits),
+                      key=lambda p: (len(p[1]), p[0]))
 
-    def path_families(self):
-        """The simple paths of every pair, adjacent pairs included, in the
-        order _family tries them, as (sorted edge tuple, resource mask);
-        the families of a DisjointCheck table."""
-        adj = self.graph.adjacency()
-        out = []
+    def table(self, pattern: Pattern) -> DisjointCheck:
+        """The DisjointCheck of every pair's simple paths, adjacent pairs
+        included, in _paths order, as (sorted edge tuple, resource mask)."""
+        families = []
         for u, v in self.pairs:
-            paths = sorted(_simple_paths(adj, u, v), key=_path_order)
-            out.append([(tuple(sorted(es)), r) for (_, es), r in
-                        zip(paths, _resources(paths, self.mode))])
-        return out
+            paths = self._paths(u, v)
+            families.append([(tuple(sorted(es)), r) for (_, es), r in
+                             zip(paths, _resources(paths, self.mode))])
+        return DisjointCheck(self.graph, pattern, families, self.k)
 
+    # no caller in the package; kept for perfbench/tracing.py's patch, and
+    # tests compare the k >= 2 tables with it
     def connected(self, colors: Sequence, pattern: Pattern) -> bool:
+        fits = _prefix_test(colors, pattern)
         for u, v in self.pairs:
-            if self._family(colors, u, v, pattern) is None:
+            paths = self._paths(u, v, fits)
+            if _first_disjoint(_resources(paths, self.mode), self.k) is None:
                 return False
         return True
 
-    def witnesses(self, colors: Sequence, pattern: Pattern):
+    def witnesses(self, colors: Sequence, table: DisjointCheck):
+        """Per pair, the first k disjoint fitting paths in _paths order, or
+        None if a pair has none: _watch's rule on the family's live bits,
+        table (from self.table) being folded over colors, as in ConnCheck."""
+        live = table._live(colors)
+        if live is None:
+            return None
+        members = list(table.bit)
         out = []
-        for u, v in self.pairs:
-            fam = self._family(colors, u, v, pattern)
-            if fam is None:
-                return None
-            out.append(PairWitness(u, v, paths=fam))
+        for (u, v), (lo, full, res) in zip(self.pairs, table.members):
+            chosen = _first_disjoint(res, self.k, live >> lo & full)
+            out.append(PairWitness(u, v, paths=tuple(
+                _path_vertices(self.graph, members[lo + j], u)
+                for j in chosen)))
         return tuple(out)
 
 
@@ -396,7 +400,9 @@ class DisconnCheck:
     rejects no prefix with a feasible completion, whose fitting members are
     never killed, and a complete coloring that survives has a fitting
     member in every family.  disconnected and witnesses fold extend over a
-    whole coloring; a pair's witness is the side of its first live cut.
+    whole coloring, and ConnCheck and KConnCheck read their path witnesses
+    from the same fold.  A pair's cut witness is the side of its first live
+    cut.
 
     A pair's bonds give the same nodes and witnesses as all its crossing
     cuts d(S), u in S, which suffice: a u-v separating edge set contains
@@ -637,7 +643,8 @@ def is_pattern_connected(graph: Graph, coloring: EdgeColoring,
     """Certificate with one pattern path per pair, or None if some pair has none."""
     _require_connected(graph)
     _check_coloring(graph, coloring)
-    wit = ConnCheck(graph).witnesses(coloring.colors, pattern)
+    tester = ConnCheck(graph)
+    wit = tester.witnesses(coloring.colors, tester.table(pattern))
     if wit is None:
         return None
     return Certificate("connection", pattern.value, wit)
@@ -655,7 +662,8 @@ def is_pattern_k_connected(graph: Graph, coloring: EdgeColoring,
     _require_connected(graph)
     _check_coloring(graph, coloring)
     _check_k_connected(graph, k, mode)
-    wit = KConnCheck(graph, k, mode).witnesses(coloring.colors, pattern)
+    tester = KConnCheck(graph, k, mode)
+    wit = tester.witnesses(coloring.colors, tester.table(pattern))
     if wit is None:
         return None
     return Certificate("k_connection", pattern.value, wit, k=k, mode=mode)
@@ -685,10 +693,9 @@ def is_proper_rainbow_connected(graph: Graph,
     _check_coloring(graph, coloring)
     if not is_proper_edge_coloring(graph, coloring):
         return None
-    wit = ConnCheck(graph).witnesses(coloring.colors, Pattern.RAINBOW)
-    if wit is None:
-        return None
-    return Certificate("connection", PROPER_RAINBOW, wit)
+    cert = is_pattern_connected(graph, coloring, Pattern.RAINBOW)
+    return None if cert is None else Certificate("connection", PROPER_RAINBOW,
+                                                 cert.pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ every graph where both are affordable in test_oracles.py.
 
 import json
 import random
-from itertools import product
+from functools import cache
+from itertools import combinations, product
 
 import chromaconn as cc
 from oracles import (
@@ -121,30 +122,63 @@ def test_disjoint_paths_match_min_cuts():
 # ------------------------------------------------------------------ 4
 
 
+def _key(g):
+    return cc.graph.canonical_form(cc.graph.neighbour_masks(g))
+
+
+@cache
+def _census_values(max_n):
+    """(graph, its eight column values) for every connected graph with at
+    most max_n vertices, keyed by canonical form."""
+    P = cc.Pattern
+    out = {}
+    for g in _census(max_n):
+        values = {name: cc.connection_number(g, p).value for name, p in (
+            ("rc", P.RAINBOW), ("pc", P.PROPER), ("mc", P.MONOCHROMATIC),
+            ("cfc", P.CONFLICT_FREE))}
+        values.update((name, cc.disconnection_number(g, p).value)
+                      for name, p in (("rd", P.RAINBOW), ("pd", P.PROPER),
+                                      ("md", P.MONOCHROMATIC)))
+        values["prc"] = cc.proper_rainbow_connection_number(g).value
+        out[_key(g)] = (g, values)
+    return out
+
+
 def test_bounds_hold_across_census():
     """Ordering and counting bounds hold on every connected graph with at
     most six vertices: proper and conflict-free never exceed rainbow,
-    rainbow sits between diameter and edge count, monochromatic is at least
-    m - n + 2, and adding a disjointness requirement never lowers the
-    rainbow value on graphs that support it."""
+    rainbow never exceeds proper rainbow (a rainbow path is proper and
+    conflict-free), proper disconnection never exceeds rainbow disconnection
+    (a rainbow cut is proper), rainbow sits between diameter and edge
+    count, monochromatic is at least m - n + 2 and at most m, with equality
+    exactly on complete graphs (else a nonadjacent pair's monochromatic
+    path repeats a color), and adding a disjointness requirement never
+    lowers the rainbow value on graphs that support it."""
     violations = []
     checked = 0
     two_edge_connected = 0
-    for g in _census(6):
-        rc = cc.connection_number(g, cc.Pattern.RAINBOW).value
-        pc = cc.connection_number(g, cc.Pattern.PROPER).value
-        cfc = cc.connection_number(g, cc.Pattern.CONFLICT_FREE).value
-        mc = cc.connection_number(g, cc.Pattern.MONOCHROMATIC).value
+    for g, val in _census_values(6).values():
+        rc, pc, cfc, mc = val["rc"], val["pc"], val["cfc"], val["mc"]
         name = cc.write_graph6(g)
         if g.n >= 2:
             if not pc <= rc:
                 violations.append((name, "proper <= rainbow", pc, rc))
             if not cfc <= rc:
                 violations.append((name, "conflict-free <= rainbow", cfc, rc))
+            if not rc <= val["prc"]:
+                violations.append((name, "rainbow <= proper rainbow", rc,
+                                   val["prc"]))
+            if not val["pd"] <= val["rd"]:
+                violations.append((name, "proper <= rainbow disconnection",
+                                   val["pd"], val["rd"]))
             if not cc.diameter(g) <= rc <= g.m:
                 violations.append((name, "diameter <= rainbow <= m", rc))
             if not mc >= g.m - g.n + 2:
                 violations.append((name, "monochromatic >= m-n+2", mc))
+            complete = 2 * g.m == g.n * (g.n - 1)
+            if not mc <= g.m - (not complete):
+                violations.append((name, "monochromatic <= m, < m unless "
+                                   "complete", mc))
         if is_two_edge_connected(g.n, g.edges):
             two_edge_connected += 1
             rc2 = cc.connection_number(g, cc.Pattern.RAINBOW, k=2).value
@@ -156,6 +190,44 @@ def test_bounds_hold_across_census():
         checked == 143 and two_edge_connected > 0 and not violations,
         f"{checked} graphs ({two_edge_connected} two-edge-connected), "
         f"{len(violations)} violations",
+    )
+
+
+def test_columns_move_as_proven_when_an_edge_is_added():
+    """For every connected graph G with at most six vertices and every
+    nonedge e, looked up as G + e in the census:
+    - rc, pc and cfc do not grow: give e a color already used, and every
+      fitting path survives;
+    - mc(G + e) >= mc(G) + 1: give e a new color;
+    - rd and pd do not shrink, and md(G) >= md(G + e) - 1: restrict a
+      coloring of G + e to G, where C - e is a u-v cut whenever C is one
+      of G + e, and a subset of a rainbow or proper cut is one too; the
+      restriction uses t or t - 1 colors."""
+    census = _census_values(6)
+    violations = []
+    pairs = 0
+    for g, val in census.values():
+        present = set(g.edges)
+        for e in combinations(range(g.n), 2):
+            if e in present:
+                continue
+            plus = census[_key(cc.build_graph(g.n, g.edges + (e,)))][1]
+            pairs += 1
+            for relation, ok in (
+                    ("rc does not grow", plus["rc"] <= val["rc"]),
+                    ("pc does not grow", plus["pc"] <= val["pc"]),
+                    ("cfc does not grow", plus["cfc"] <= val["cfc"]),
+                    ("mc grows", plus["mc"] >= val["mc"] + 1),
+                    ("rd does not shrink", val["rd"] <= plus["rd"]),
+                    ("pd does not shrink", val["pd"] <= plus["pd"]),
+                    ("md shrinks by at most one",
+                     val["md"] >= plus["md"] - 1)):
+                if not ok:
+                    violations.append((cc.write_graph6(g), e, relation))
+    _report(
+        "column relations under edge addition",
+        pairs == 821 and not violations,
+        f"{pairs} (G, G + e) pairs, {len(violations)} violations",
     )
 
 

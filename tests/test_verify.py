@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import combinations
 
 import pytest
 
@@ -26,11 +27,13 @@ from chromaconn import (
     verify_certificate,
 )
 from chromaconn.coloring import PathSearch
+from chromaconn.graph import simple_paths as simple_paths_walk
 from chromaconn.solve import _connection_checks
-from chromaconn.verify import (CUT_PATTERNS, DisconnCheck, _check_k_connected,
-                               _simple_paths)
+from chromaconn.verify import (CUT_PATTERNS, PROPER_RAINBOW, DisconnCheck,
+                               _check_k_connected)
 
 from oracles import (
+    _disjoint,
     cut_satisfies,
     minimal_separating_sets,
     seq_satisfies,
@@ -214,19 +217,94 @@ def test_cut_tables_require_a_connected_graph():
 
 
 def test_simple_paths_lists_every_path_in_search_order():
-    """The path tables' enumerator gives each pair's simple paths on the
-    census up to order 6: as a set, those of the oracle; in order, those
-    of PathSearch under all-distinct colors, the order the tables had."""
+    """The one path walker gives each pair's simple paths on the census up
+    to order 6: those of the oracle, sorted by vertex tuple, as a depth
+    first walk with ascending neighbours yields them."""
     for g in connected_graphs_up_to(6):
-        search = PathSearch(g)
         for u in range(g.n):
             for v in range(u + 1, g.n):
-                got = _simple_paths(g.adjacency(), u, v)
-                assert sorted(es for _, es in got) == sorted(
-                    simple_paths(g.n, g.edges, u, v))
-                assert got == [(p.vertices, p.edges) for p in
-                               search.all_pattern_paths(range(g.m), u, v,
-                                                        Pattern.RAINBOW)]
+                want = sorted(
+                    (_vertices_of(g, u, es), es)
+                    for es in simple_paths(g.n, g.edges, u, v))
+                assert simple_paths_walk(g.adjacency(), u, v) == want
+
+
+def _fitting(g, colors, pattern, u, v):
+    """The oracle's simple u-v paths that fit the pattern, as (vertices,
+    edges), sorted by vertex tuple."""
+    return sorted((_vertices_of(g, u, es), es)
+                  for es in simple_paths(g.n, g.edges, u, v)
+                  if seq_satisfies([colors[e] for e in es], pattern))
+
+
+def _witness_colorings(g, rng):
+    return ([tuple(rng.randrange(3) for _ in range(g.m)) for _ in range(5)]
+            + [tuple(range(g.m)), (0,) * g.m])
+
+
+def _witness_map(witnesses):
+    return None if witnesses is None else {(w.u, w.v): w.paths
+                                           for w in witnesses}
+
+
+def test_path_witnesses_are_the_first_fitting_oracle_paths():
+    """On the census up to order 5, under every pattern and a few random
+    colorings, find and the k = 1 table's witnesses give each pair the
+    first fitting oracle path in vertex-tuple order, the walker's order.
+    The proper-rainbow table, whose stars follow the paths, gives the
+    first rainbow path under all-distinct colors."""
+    rng = random.Random(16)
+    for g in connected_graphs_up_to(5):
+        pairs = list(combinations(range(g.n), 2))
+        search = PathSearch(g)
+        for pattern in Pattern:
+            tester, table = _connection_checks(g, pattern)
+            for colors in _witness_colorings(g, rng):
+                want = {}
+                for u, v in pairs:
+                    fit = _fitting(g, colors, pattern.value, u, v)
+                    first = fit[0][0] if fit else None
+                    got = search.find(colors, u, v, pattern)
+                    assert (got.vertices if got else None) == first
+                    want[u, v] = (first,) if first else None
+                if None in want.values():
+                    want = None
+                assert _witness_map(tester.witnesses(colors, table)) == want
+        tester, table = _connection_checks(g, PROPER_RAINBOW)
+        colors = tuple(range(g.m))
+        assert _witness_map(tester.witnesses(colors, table)) == {
+            (u, v): (_fitting(g, colors, "rainbow", u, v)[0][0],)
+            for u, v in pairs}
+
+
+@pytest.mark.parametrize("mode", ("edge", "vertex"))
+def test_k2_witnesses_are_the_first_disjoint_fitting_oracle_paths(mode):
+    """On the census up to order 5, under every pattern and a few random
+    colorings, the k = 2 table's witnesses give each pair the least index
+    pair of disjoint fitting oracle paths in (length, vertices) order."""
+    rng = random.Random(17)
+    for g in connected_graphs_up_to(5):
+        if g.n < 2:
+            continue
+        try:
+            _check_k_connected(g, 2, mode)
+        except ValueError:
+            continue
+        for pattern in Pattern:
+            tester, table = _connection_checks(g, pattern, 2, mode)
+            for colors in _witness_colorings(g, rng):
+                want = {}
+                for u, v in combinations(range(g.n), 2):
+                    fit = sorted(_fitting(g, colors, pattern.value, u, v),
+                                 key=lambda p: (len(p[1]), p[0]))
+                    want[u, v] = next(
+                        (tuple(vs for vs, _ in two)
+                         for two in combinations(fit, 2)
+                         if _disjoint(g.edges, [es for _, es in two], mode)),
+                        None)
+                if None in want.values():
+                    want = None
+                assert _witness_map(tester.witnesses(colors, table)) == want
 
 
 def test_proper_rainbow_check():
