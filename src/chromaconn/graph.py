@@ -463,6 +463,130 @@ def bonds(graph: Graph):
 
 
 # ---------------------------------------------------------------------------
+# pair covers by connected vertex sets
+
+def _connected_sets(adj, need: int, largest: int) -> list:
+    """(|S| - 2, vertex mask, pair mask) of every vertex set S of 3 to
+    largest vertices that induces a connected subgraph and holds a pair of
+    the pair mask need, cheapest first, then by vertex mask; adj is
+    neighbour_masks(graph), and pair (u, v), u < v, is bit u*n + v.
+
+    Each connected set is found once (Wernicke's ESU): it grows from its
+    least vertex v by vertices of an extension set, to which an added
+    vertex brings only its neighbours above v that are neither in nor next
+    to the set, and a vertex tried is left out of the later branches."""
+    n = len(adj)
+    out = []
+
+    def grow(s, size, ext, closed, spread, pairs, above):
+        # closed: s and its neighbours; spread: bit u*n for each u in s
+        if size >= 3 and pairs & need:
+            out.append((size - 2, s, pairs))
+        if size == largest:
+            return
+        while ext:
+            w = ext & -ext
+            ext ^= w
+            i = w.bit_length() - 1
+            below = spread & (1 << i * n) - 1  # members under i
+            with_i = below << i | (s >> i + 1 << i + 1) << i * n
+            grow(s | w, size + 1, ext | adj[i] & ~closed & above,
+                 closed | adj[i], spread | 1 << i * n, pairs | with_i, above)
+
+    for v in range(n):
+        above = (1 << n) - (2 << v)
+        grow(1 << v, 1, adj[v] & above, adj[v] | 1 << v, 1 << v * n, 0,
+             above)
+    out.sort(key=lambda block: block[:2])
+    return out
+
+
+def min_cover(blocks, need: tuple, best: int, lower):
+    """(cost, blocks) of a cheapest family of blocks that covers each pair
+    as often as need asks, or None if every such family costs best or more.
+
+    blocks holds (cost, vertex mask, pair mask) triples, cheapest first; a
+    block covers each pair of its pair mask once.  need[j] is the pair mask
+    of the pairs still to be covered more than j times, so need[0] holds
+    every pair still uncovered.  lower(need) is a lower bound on the cost
+    of covering need.  The search branches on the lowest pair of need[0]
+    and tries the blocks holding it in order, and drops a branch once its
+    cost plus lower reaches best.
+
+    With one level of need the family's blocks are kept pairwise pair
+    disjoint.  That is complete when blocks are closed under merging: the
+    union of two blocks that share two vertices is a block and costs at
+    most their sum, as with connected sets at cost |S| - 2.  A cheapest
+    family with the fewest blocks then has no two blocks sharing a pair,
+    and it is reached: each lowest uncovered pair lies in one of its blocks
+    that shares no pair with those already taken.
+    """
+    blocks_with = {}  # lowest pair bit -> the blocks that cover it
+    best_family = None
+    family = []
+
+    def grow(need, taken, cost):
+        nonlocal best, best_family
+        if not need[0]:
+            best, best_family = cost, tuple(family)
+            return
+        if cost + lower(need) >= best:
+            return
+        low = need[0] & -need[0]
+        if low not in blocks_with:
+            blocks_with[low] = [b for b in blocks if b[2] & low]
+        for block in blocks_with[low]:
+            if cost + block[0] >= best:
+                break
+            if len(need) == 1 and block[2] & taken:
+                continue
+            family.append(block)
+            pairs = block[2]
+            grow(tuple((x & ~pairs) | (y & pairs)
+                       for x, y in zip(need, need[1:] + (0,))),
+                 taken | pairs, cost + block[0])
+            family.pop()
+
+    grow(need, 0, 0)
+    return None if best_family is None else (best, best_family)
+
+
+def tree_cover(graph: Graph):
+    """(c, family) for a connected graph: c is the least sum of |S| - 2
+    over a family of vertex sets S, each inducing a connected subgraph on
+    at least three vertices, such that every nonadjacent pair lies inside
+    some S; family is a cheapest one, as sorted vertex tuples.
+
+    Branch and bound (min_cover) over the connected vertex sets that hold a
+    nonadjacent pair, seeded with the cover {V} of cost n - 2, so c never
+    exceeds n - 2.  V itself is left out of the candidates: a merge that
+    reaches it costs n - 2 already.  A complete graph has c = 0 and the
+    empty family.
+
+    Lower bound: covering the pairs still uncovered costs at least the
+    number of them at any one vertex w.  A set S holding k of them at w
+    also holds a neighbour of w, as G[S] is connected, so it costs
+    |S| - 2 >= k; each such pair lies in some set through w.
+    """
+    n = graph.n
+    adj = neighbour_masks(graph)
+    need = 0
+    for u in range(n):  # pair (u, v), v > u, is bit u*n + v
+        later = (1 << n) - (2 << u)  # vertices above u
+        need |= (later & ~adj[u]) << u * n
+    if not need:
+        return 0, ()
+    spread = sum(1 << u * n for u in range(n))
+    at = [((1 << n) - 1) << w * n | spread << w for w in range(n)]
+    found = min_cover(_connected_sets(adj, need, n - 1), (need,), n - 2,
+                      lambda need: max((need[0] & x).bit_count() for x in at))
+    if found is None:
+        return n - 2, (tuple(range(n)),)
+    return found[0], tuple(tuple(w for w in range(n) if s >> w & 1)
+                           for _, s, _ in found[1])
+
+
+# ---------------------------------------------------------------------------
 # derived graphs
 
 def line_graph(graph: Graph) -> Graph:

@@ -43,7 +43,7 @@ from typing import Optional
 from .coloring import EdgeColoring, Pattern, restricted_growth_strings
 # max_disjoint_paths: no caller, kept for perfbench/tracing.py's patch
 from .graph import (Graph, diameter, is_connected, max_disjoint_paths,
-                    write_graph6)
+                    tree_cover, write_graph6)
 from .local import is_proper_edge_coloring
 from .verify import (
     PROPER_RAINBOW,
@@ -95,7 +95,21 @@ class SolveResult:
 
 def bounds(graph: Graph, pattern: Pattern, k: int = 1,
            mode: str = "edge") -> Bounds:
-    """Safe search window for connection_number with the same preconditions."""
+    """Safe search window for connection_number with the same preconditions.
+
+    Monochromatic at k = 1: m - n + 2 <= mc <= m - c, c from
+    graph.tree_cover.  Lower: a spanning tree in one color and every other
+    edge in a color of its own.  Upper: in a coloring with mc colors every
+    color class is a tree.  Else split a disconnected class into its
+    components, or give one edge e on a cycle of a class a new color: the
+    class minus e still spans its vertices connectedly.  Either way every
+    monochromatic pair stays so and t grows.  A tree class on vertex set S
+    has |S| - 1 edges, so m = mc + sum(|S| - 2), and the classes with
+    |S| >= 3 cover every nonadjacent pair, whose monochromatic path lies
+    in one class: sum(|S| - 2) >= c.  So every band above m - c is
+    infeasible, and a scan from there finds the same lex-first coloring.
+    At k >= 2 the lemma is not proven, and the upper bound stays m.
+    """
     if not is_connected(graph):
         raise ValueError("connection numbers require a connected graph")
     _check_k_connected(graph, k, mode)
@@ -103,11 +117,10 @@ def bounds(graph: Graph, pattern: Pattern, k: int = 1,
     if m == 0:
         return Bounds(0, 0, ("trivial", "edge-count"))
     if pattern.objective == "max":
-        # a spanning tree in one color plus distinct leftovers connects
-        # monochromatically, valid for the single-path case
-        lower = m - graph.n + 2 if k == 1 else 1
-        return Bounds(lower, m, ("spanning-tree" if k == 1 else "trivial",
-                                 "edge-count"))
+        if k > 1:
+            return Bounds(1, m, ("trivial", "edge-count"))
+        return Bounds(m - graph.n + 2, m - tree_cover(graph)[0],
+                      ("spanning-tree", "tree-cover"))
     if pattern is Pattern.RAINBOW:
         # between a most distant pair every path needs >= diameter edges
         return Bounds(max(1, diameter(graph)), m, ("diameter", "edge-count"))
@@ -279,8 +292,8 @@ def connection_number(graph: Graph, pattern: Pattern, k: int = 1,
                                cert_mode)
     tester, checker = _connection_checks(graph, pattern, k, mode)
     m = graph.m
-    ts = (range(max(1, b.lower), m + 1) if objective == "min"
-          else range(m, 0, -1))
+    ts = (range(b.lower, b.upper + 1) if objective == "min"
+          else range(b.upper, b.lower - 1, -1))
     return _optimize(
         m, ts,
         lambda colors: Certificate(kind, pattern.value,

@@ -640,14 +640,20 @@ def _check_k_connected(graph: Graph, k: int, mode: str):
 
 def is_pattern_connected(graph: Graph, coloring: EdgeColoring,
                          pattern: Pattern) -> Optional[Certificate]:
-    """Certificate with one pattern path per pair, or None if some pair has none."""
+    """Certificate with one pattern path per pair, or None if some pair has
+    none.  A pair's witness is its first fitting path in simple_paths order
+    (PathSearch.find), the path ConnCheck.witnesses reads from a solver's
+    table, found without listing every path of every pair."""
     _require_connected(graph)
     _check_coloring(graph, coloring)
-    tester = ConnCheck(graph)
-    wit = tester.witnesses(coloring.colors, tester.table(pattern))
-    if wit is None:
-        return None
-    return Certificate("connection", pattern.value, wit)
+    find = PathSearch(graph).find
+    wit = []
+    for u, v in _all_pairs(graph.n):
+        path = find(coloring.colors, u, v, pattern)
+        if path is None:
+            return None
+        wit.append(PairWitness(u, v, paths=(path.vertices,)))
+    return Certificate("connection", pattern.value, tuple(wit))
 
 
 def is_pattern_k_connected(graph: Graph, coloring: EdgeColoring,

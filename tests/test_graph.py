@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +29,8 @@ from chromaconn import (
     write_graph6,
 )
 from chromaconn.graph import (
+    min_cover,
+    tree_cover,
     GRAPH6_HEADER,
     bfs_distances,
     canonical_form,
@@ -188,6 +191,55 @@ def test_crossing_cut_and_bipartitions():
         for e in cut_edges:
             a, b = g.edges[e]
             assert (a in side) != (b in side)
+
+
+def test_tree_cover_is_a_cheapest_cover():
+    """tree_cover's family is a cover of its stated cost, and no family of
+    connected sets of at least three vertices covering every nonadjacent
+    pair costs less: brute force over families of cost at most n - 2 on
+    the <= 5 census, connectivity from networkx."""
+    for g in connected_graphs_up_to(5):
+        c, family = tree_cover(g)
+        ng = nx.Graph()
+        ng.add_nodes_from(range(g.n))
+        ng.add_edges_from(g.edges)
+        apart = [p for p in combinations(range(g.n), 2) if not g.has_edge(*p)]
+        sets = [s for size in range(3, g.n + 1)
+                for s in combinations(range(g.n), size)
+                if nx.is_connected(ng.subgraph(s))]
+
+        def covers(fam):
+            return all(any(u in s and v in s for s in fam) for u, v in apart)
+
+        assert set(family) <= set(sets) and covers(family), g
+        assert c == sum(len(s) - 2 for s in family) <= max(0, g.n - 2), g
+        cheapest = min(sum(len(s) - 2 for s in fam)
+                       for size in range(max(1, g.n - 1))
+                       for fam in combinations(sets, size) if covers(fam))
+        assert c == cheapest, g
+
+
+def test_min_cover_with_multiplicities():
+    """On K4, with the triangles at cost 1 and the whole vertex set at
+    cost 2, and no lower bound: one cover of every pair costs 2 (the
+    vertex set), two cost 4 (the vertex set twice, or all four triangles,
+    which hold each pair twice), and nothing at or above best is
+    returned."""
+    n = 4
+    pairs = {(u, v): 1 << (u * n + v) for u, v in combinations(range(n), 2)}
+    blocks = sorted((len(s) - 2, sum(1 << w for w in s),
+                     sum(pairs[p] for p in combinations(s, 2)))
+                    for size in (3, 4) for s in combinations(range(n), size))
+    every = sum(pairs.values())
+    def nothing(need):
+        return 0
+
+    assert min_cover(blocks, (every,), 5, nothing)[0] == 2
+    cost, family = min_cover(blocks, (every, every), 5, nothing)
+    assert cost == 4 == sum(b[0] for b in family)
+    assert all(sum(b[2] & bit > 0 for b in family) >= 2
+               for bit in pairs.values())
+    assert min_cover(blocks, (every, every), 4, nothing) is None
 
 
 # ------------------------------------------------------------ local moves

@@ -20,7 +20,7 @@ from chromaconn import (
     star_graph,
     verify_certificate,
 )
-from chromaconn.solve import result_to_dict
+from chromaconn.solve import _connection_checks, _search, result_to_dict
 
 from oracles import cut_satisfies, minimal_separating_sets, seq_satisfies, \
     simple_paths
@@ -226,3 +226,42 @@ def test_count_validation():
                         prop="disconnected")
     with pytest.raises(ValueError):
         count_colorings(build_graph(3, [(0, 1)]), Pattern.RAINBOW, 2)
+
+
+# ------------------------------------------------------- tree-cover bound
+
+
+def test_tree_cover_bound_keeps_the_scan_from_m():
+    """On the <= 6 census, mc scanned from bounds(...).upper = m - c(G)
+    gives the value, lex-first coloring and certificate of a scan forced
+    from m with the same checker, in no more nodes, and the bound is mc."""
+    mono = Pattern.MONOCHROMATIC
+    checked = 0
+    for g in connected_graphs_up_to(6):
+        b = bounds(g, mono)
+        r = connection_number(g, mono)
+        assert b.upper == r.value, g
+        checked += 1
+        if g.n == 1:
+            continue
+        assert b.provenance == ("spanning-tree", "tree-cover")
+        tester, checker = _connection_checks(g, mono)
+        t, colors, nodes = _search(g.m, range(g.m, 0, -1), checker, None,
+                                   lambda t, colors: True)
+        assert t == r.value, g
+        assert r.optimal_coloring.colors == colors, g
+        assert r.certificate.pairs == tester.witnesses(colors, checker), g
+        assert r.nodes_explored <= nodes, g
+    assert checked == 143
+
+
+def test_tree_cover_bound_named_cases():
+    mono = Pattern.MONOCHROMATIC
+    for n in range(2, 7):
+        g = complete_graph(n)
+        assert bounds(g, mono).upper == g.m
+        assert bounds(path_graph(n), mono).upper == 1
+        assert bounds(star_graph(n), mono).upper == 1
+    for g in (cycle_graph(5), complete_graph(4)):
+        for mode in ("edge", "vertex"):
+            assert bounds(g, mono, k=2, mode=mode).upper == g.m

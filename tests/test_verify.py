@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -270,11 +271,32 @@ def test_path_witnesses_are_the_first_fitting_oracle_paths():
                 if None in want.values():
                     want = None
                 assert _witness_map(tester.witnesses(colors, table)) == want
+                cert = is_pattern_connected(
+                    g, EdgeColoring(colors, max(colors, default=0) + 1),
+                    pattern)
+                assert _witness_map(cert and cert.pairs) == want
         tester, table = _connection_checks(g, PROPER_RAINBOW)
         colors = tuple(range(g.m))
-        assert _witness_map(tester.witnesses(colors, table)) == {
-            (u, v): (_fitting(g, colors, "rainbow", u, v)[0][0],)
-            for u, v in pairs}
+        want = {(u, v): (_fitting(g, colors, "rainbow", u, v)[0][0],)
+                for u, v in pairs}
+        assert _witness_map(tester.witnesses(colors, table)) == want
+        cert = is_proper_rainbow_connected(g, EdgeColoring(colors, g.m))
+        assert _witness_map(cert.pairs) == want
+
+
+def test_one_shot_verifier_walks_each_pair_once():
+    """is_pattern_connected stops at each pair's first fitting path: a 4x5
+    grid under all-distinct colors, whose pairs have up to thousands of
+    simple paths, certifies in well under a second."""
+    grid = build_graph(20, [(r * 5 + c, r * 5 + c + 1)
+                            for r in range(4) for c in range(4)]
+                       + [(r * 5 + c, r * 5 + c + 5)
+                          for r in range(3) for c in range(5)])
+    coloring = EdgeColoring(tuple(range(grid.m)), grid.m)
+    start = time.perf_counter()
+    cert = is_proper_rainbow_connected(grid, coloring)
+    assert time.perf_counter() - start < 1.0
+    assert verify_certificate(grid, coloring, cert)
 
 
 @pytest.mark.parametrize("mode", ("edge", "vertex"))
