@@ -465,53 +465,67 @@ def bonds(graph: Graph):
 # ---------------------------------------------------------------------------
 # pair covers by connected vertex sets
 
-def _connected_sets(adj, need: int, largest: int) -> list:
-    """(|S| - 2, vertex mask, pair mask) of every vertex set S of 3 to
-    largest vertices that induces a connected subgraph and holds a pair of
-    the pair mask need, cheapest first, then by vertex mask; adj is
-    neighbour_masks(graph), and pair (u, v), u < v, is bit u*n + v.
+class _CoverGaveUp(Exception):
+    """tree_cover spent its allowance of work."""
 
-    Each connected set is found once (Wernicke's ESU): it grows from its
-    least vertex v by vertices of an extension set, to which an added
-    vertex brings only its neighbours above v that are neither in nor next
-    to the set, and a vertex tried is left out of the later branches."""
+
+COVER_WORK = 100_000  # sets grown plus search nodes, per tree_cover call
+
+
+def _sets_through(adj, u: int, to_v, largest: int, room: int):
+    """(blocks, room left): blocks holds (|S| - 2, vertex mask, pair mask)
+    for every vertex set S of at most largest vertices that holds u and v
+    and induces a connected subgraph, cheapest first, then by vertex mask.
+    adj is neighbour_masks(graph), to_v the distances to v; the pair mask
+    holds pair (a, b), a < b, of S as bit a*n + b.  Each set grown takes
+    one unit of room, and _CoverGaveUp is raised when none is left.
+
+    Each connected set through u is found once (Wernicke's ESU rooted at
+    u): it grows by vertices of an extension set, to which an added vertex
+    brings only its neighbours that are neither in nor next to the set, and
+    a vertex tried is left out of the later branches.  A branch is cut when
+    v is further from the set than the set may still grow."""
     n = len(adj)
     out = []
 
-    def grow(s, size, ext, closed, spread, pairs, above):
-        # closed: s and its neighbours; spread: bit u*n for each u in s
-        if size >= 3 and pairs & need:
+    def grow(s, size, ext, closed, spread, pairs, near):
+        # closed: s and its neighbours; spread: bit a*n for each a in s;
+        # near: the least distance from a member of s to v
+        nonlocal room
+        room -= 1
+        if room < 0:
+            raise _CoverGaveUp
+        if not near:
             out.append((size - 2, s, pairs))
-        if size == largest:
-            return
         while ext:
             w = ext & -ext
             ext ^= w
             i = w.bit_length() - 1
+            if size + 1 + min(near, to_v[i]) > largest:
+                continue
             below = spread & (1 << i * n) - 1  # members under i
             with_i = below << i | (s >> i + 1 << i + 1) << i * n
-            grow(s | w, size + 1, ext | adj[i] & ~closed & above,
-                 closed | adj[i], spread | 1 << i * n, pairs | with_i, above)
+            grow(s | w, size + 1, ext | adj[i] & ~closed, closed | adj[i],
+                 spread | 1 << i * n, pairs | with_i, min(near, to_v[i]))
 
-    for v in range(n):
-        above = (1 << n) - (2 << v)
-        grow(1 << v, 1, adj[v] & above, adj[v] | 1 << v, 1 << v * n, 0,
-             above)
+    grow(1 << u, 1, adj[u], adj[u] | 1 << u, 1 << u * n, 0, to_v[u])
     out.sort(key=lambda block: block[:2])
-    return out
+    return out, room
 
 
-def min_cover(blocks, need: tuple, best: int, lower):
+def min_cover(need: tuple, best: int, lower, blocks_with):
     """(cost, blocks) of a cheapest family of blocks that covers each pair
     as often as need asks, or None if every such family costs best or more.
 
-    blocks holds (cost, vertex mask, pair mask) triples, cheapest first; a
-    block covers each pair of its pair mask once.  need[j] is the pair mask
-    of the pairs still to be covered more than j times, so need[0] holds
-    every pair still uncovered.  lower(need) is a lower bound on the cost
-    of covering need.  The search branches on the lowest pair of need[0]
-    and tries the blocks holding it in order, and drops a branch once its
-    cost plus lower reaches best.
+    A block is a (cost, vertex mask, pair mask) triple and covers each pair
+    of its pair mask once.  need[j] is the pair mask of the pairs still to
+    be covered more than j times, so need[0] holds every pair still
+    uncovered.  lower(need) is a lower bound on the cost of covering need;
+    blocks_with(pair, cap) lists the blocks that cover the pair bit pair,
+    cheapest first, with every one costing less than cap among them.  The
+    search branches on the lowest pair of need[0] and tries the blocks
+    holding it in order, and drops a branch once its cost plus lower
+    reaches best, before it asks for any block.
 
     With one level of need the family's blocks are kept pairwise pair
     disjoint.  That is complete when blocks are closed under merging: the
@@ -521,7 +535,6 @@ def min_cover(blocks, need: tuple, best: int, lower):
     and it is reached: each lowest uncovered pair lies in one of its blocks
     that shares no pair with those already taken.
     """
-    blocks_with = {}  # lowest pair bit -> the blocks that cover it
     best_family = None
     family = []
 
@@ -532,10 +545,7 @@ def min_cover(blocks, need: tuple, best: int, lower):
             return
         if cost + lower(need) >= best:
             return
-        low = need[0] & -need[0]
-        if low not in blocks_with:
-            blocks_with[low] = [b for b in blocks if b[2] & low]
-        for block in blocks_with[low]:
+        for block in blocks_with(need[0] & -need[0], best - cost):
             if cost + block[0] >= best:
                 break
             if len(need) == 1 and block[2] & taken:
@@ -552,16 +562,21 @@ def min_cover(blocks, need: tuple, best: int, lower):
 
 
 def tree_cover(graph: Graph):
-    """(c, family) for a connected graph: c is the least sum of |S| - 2
-    over a family of vertex sets S, each inducing a connected subgraph on
-    at least three vertices, such that every nonadjacent pair lies inside
-    some S; family is a cheapest one, as sorted vertex tuples.
+    """(c, family) for a connected graph: c is at most, and as a rule
+    equal to, the least sum of |S| - 2 over a family of vertex sets S, each
+    inducing a connected subgraph on at least three vertices, such that
+    every nonadjacent pair lies inside some S; family is such a family of
+    cost c or more, as sorted vertex tuples.
 
-    Branch and bound (min_cover) over the connected vertex sets that hold a
-    nonadjacent pair, seeded with the cover {V} of cost n - 2, so c never
-    exceeds n - 2.  V itself is left out of the candidates: a merge that
-    reaches it costs n - 2 already.  A complete graph has c = 0 and the
-    empty family.
+    Branch and bound (min_cover) seeded with the cover {V} of cost n - 2,
+    so c never exceeds n - 2.  The connected sets holding a pair are grown
+    when the search first branches on it (_sets_through), and only as
+    large as the branch can afford, so a graph whose lower bound reaches
+    n - 2 at the root (any graph with a vertex of degree 1) grows none.  A
+    complete graph has c = 0 and the empty family.  If the search spends
+    COVER_WORK (sets grown plus nodes) it gives up and returns the root's
+    lower bound with the family {V}; on the graphs of order 8 or less it
+    never spends a tenth of that.
 
     Lower bound: covering the pairs still uncovered costs at least the
     number of them at any one vertex w.  A set S holding k of them at w
@@ -578,10 +593,32 @@ def tree_cover(graph: Graph):
         return 0, ()
     spread = sum(1 << u * n for u in range(n))
     at = [((1 << n) - 1) << w * n | spread << w for w in range(n)]
-    found = min_cover(_connected_sets(adj, need, n - 1), (need,), n - 2,
-                      lambda need: max((need[0] & x).bit_count() for x in at))
+    grown = {}  # pair bit -> (cap, the sets through the pair costing < cap)
+    room = COVER_WORK
+
+    def lower(need):
+        nonlocal room
+        room -= 1
+        if room < 0:
+            raise _CoverGaveUp
+        return max((need[0] & x).bit_count() for x in at)
+
+    def blocks_with(pair, cap):
+        nonlocal room
+        if pair not in grown or grown[pair][0] < cap:
+            u, v = divmod(pair.bit_length() - 1, n)
+            blocks, room = _sets_through(adj, u, bfs_distances(graph, v),
+                                         cap + 1, room)
+            grown[pair] = cap, blocks
+        return grown[pair][1]
+
+    everything = (tuple(range(n)),)
+    try:
+        found = min_cover((need,), n - 2, lower, blocks_with)
+    except _CoverGaveUp:
+        return max((need & x).bit_count() for x in at), everything
     if found is None:
-        return n - 2, (tuple(range(n)),)
+        return n - 2, everything
     return found[0], tuple(tuple(w for w in range(n) if s >> w & 1)
                            for _, s, _ in found[1])
 

@@ -98,9 +98,9 @@ def bounds(graph: Graph, pattern: Pattern, k: int = 1,
     """Safe search window for connection_number with the same preconditions.
 
     Monochromatic at k = 1: m - n + 2 <= mc <= m - c, c from
-    graph.tree_cover.  Lower: a spanning tree in one color and every other
-    edge in a color of its own.  Upper: in a coloring with mc colors every
-    color class is a tree.  Else split a disconnected class into its
+    graph.tree_cover, at most the cost of a cheapest cover.  Lower: a
+    spanning tree in one color and every other edge in a color of its own.
+    Upper: in a coloring with mc colors every color class is a tree.  Else split a disconnected class into its
     components, or give one edge e on a cycle of a class a new color: the
     class minus e still spans its vertices connectedly.  Either way every
     monochromatic pair stays so and t grows.  A tree class on vertex set S

@@ -150,11 +150,12 @@ def test_bounds_hold_across_census():
     rainbow never exceeds proper rainbow (a rainbow path is proper and
     conflict-free), proper disconnection never exceeds rainbow disconnection
     (a rainbow cut is proper), rainbow sits between diameter and edge
-    count, monochromatic is at least m - n + 2 and at most m - c(G) <= m,
-    c(G) from tree_cover, with mc = m exactly on complete graphs (else a
-    nonadjacent pair's monochromatic path repeats a color), and adding a
-    disjointness requirement never lowers the rainbow value on graphs that
-    support it."""
+    count, monochromatic is at least m - n + 2 and equals m exactly on
+    complete graphs (else a nonadjacent pair's monochromatic path repeats a
+    color), and adding a disjointness requirement never lowers the rainbow
+    value on graphs that support it.  The mc scan starts at m - c(G), so it
+    cannot return more; that bound is checked against a scan forced from m
+    in test_solve.py::test_tree_cover_bound_keeps_the_scan_from_m."""
     violations = []
     checked = 0
     two_edge_connected = 0
@@ -177,11 +178,9 @@ def test_bounds_hold_across_census():
             if not mc >= g.m - g.n + 2:
                 violations.append((name, "monochromatic >= m-n+2", mc))
             complete = 2 * g.m == g.n * (g.n - 1)
-            if not mc <= g.m - (not complete):
-                violations.append((name, "monochromatic <= m, < m unless "
+            if (mc == g.m) != complete:
+                violations.append((name, "monochromatic = m exactly when "
                                    "complete", mc))
-            if not mc <= g.m - cc.graph.tree_cover(g)[0]:
-                violations.append((name, "monochromatic <= m - c(G)", mc))
         if is_two_edge_connected(g.n, g.edges):
             two_edge_connected += 1
             rc2 = cc.connection_number(g, cc.Pattern.RAINBOW, k=2).value

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -37,6 +38,7 @@ from chromaconn.graph import (
     neighbour_masks,
     uv_bipartitions,
 )
+from chromaconn import graph as graph_module
 from oracles import canonical_key
 
 
@@ -231,15 +233,60 @@ def test_min_cover_with_multiplicities():
                      sum(pairs[p] for p in combinations(s, 2)))
                     for size in (3, 4) for s in combinations(range(n), size))
     every = sum(pairs.values())
+
     def nothing(need):
         return 0
 
-    assert min_cover(blocks, (every,), 5, nothing)[0] == 2
-    cost, family = min_cover(blocks, (every, every), 5, nothing)
+    def blocks_with(pair, cap):
+        return [b for b in blocks if b[2] & pair]
+
+    assert min_cover((every,), 5, nothing, blocks_with)[0] == 2
+    cost, family = min_cover((every, every), 5, nothing, blocks_with)
     assert cost == 4 == sum(b[0] for b in family)
     assert all(sum(b[2] & bit > 0 for b in family) >= 2
                for bit in pairs.values())
-    assert min_cover(blocks, (every, every), 4, nothing) is None
+    assert min_cover((every, every), 4, nothing, blocks_with) is None
+
+
+def _hub(n, rim):
+    """Vertex 0 joined to 1..n-1, plus the edges rim."""
+    return build_graph(n, [(0, w) for w in range(1, n)] + list(rim))
+
+
+def test_tree_cover_grows_only_what_the_bound_leaves_open(monkeypatch):
+    """A star, and a star with one edge between leaves, reach the lower
+    bound n - 2 at the root (a leaf misses n - 2 vertices), so no
+    connected set is grown; a wheel and a friendship graph on 25 vertices,
+    whose connected sets through the hub number in the millions, stop
+    within the allowance, at a c between the root's lower bound and the
+    cost of the family returned."""
+    grown = []
+    real = graph_module._sets_through
+    monkeypatch.setattr(graph_module, "_sets_through",
+                        lambda *args: grown.append(args) or real(*args))
+    for g in (star_graph(24), _hub(25, [(1, 2)])):
+        assert tree_cover(g) == (23, (tuple(range(25)),))
+    assert grown == []
+    for g in (_hub(25, [(w, w % 24 + 1) for w in range(1, 25)]),
+              _hub(25, [(w, w + 1) for w in range(1, 25, 2)])):
+        start = time.perf_counter()
+        c, family = tree_cover(g)
+        assert time.perf_counter() - start < 5
+        least = min(g.degree(w) for w in range(g.n))
+        assert 24 - least <= c <= sum(len(s) - 2 for s in family) <= 23
+
+
+def test_tree_cover_gives_up_at_the_root_bound(monkeypatch):
+    """With no allowance left, tree_cover returns the root's lower bound,
+    the most uncovered pairs at one vertex, and the cover {V}: never more
+    than the cheapest cover, on the <= 6 census."""
+    exact = {g: tree_cover(g)[0] for g in connected_graphs_up_to(6)}
+    monkeypatch.setattr(graph_module, "COVER_WORK", 0)
+    for g, c in exact.items():
+        missing = max((g.n - 1 - g.degree(w) for w in range(g.n)), default=0)
+        if c:
+            assert tree_cover(g) == (missing, (tuple(range(g.n)),)), g
+        assert missing <= c, g
 
 
 # ------------------------------------------------------------ local moves

@@ -20,6 +20,7 @@ from chromaconn import (
     star_graph,
     verify_certificate,
 )
+from chromaconn import graph as graph_module
 from chromaconn.solve import _connection_checks, _search, result_to_dict
 
 from oracles import cut_satisfies, minimal_separating_sets, seq_satisfies, \
@@ -265,3 +266,24 @@ def test_tree_cover_bound_named_cases():
     for g in (cycle_graph(5), complete_graph(4)):
         for mode in ("edge", "vertex"):
             assert bounds(g, mono, k=2, mode=mode).upper == g.m
+    # 25 vertices: the root's lower bound settles the cover at once
+    assert bounds(star_graph(24), mono).upper == 1
+    hub_and_edge = build_graph(25, [(0, w) for w in range(1, 25)] + [(1, 2)])
+    assert bounds(hub_and_edge, mono).upper == 2
+
+
+def test_tree_cover_bound_holds_when_the_cover_gives_up(monkeypatch):
+    """With no allowance for the cover search, bounds falls back to the
+    root's lower bound, and mc scanned from there is unchanged on the
+    <= 5 census."""
+    mono = Pattern.MONOCHROMATIC
+    census = list(connected_graphs_up_to(5))
+    exact = [connection_number(g, mono) for g in census]
+    monkeypatch.setattr(graph_module, "COVER_WORK", 0)
+    for g, r in zip(census, exact):
+        assert bounds(g, mono).upper >= r.value, g
+        fallback = connection_number(g, mono)
+        assert (fallback.value, fallback.optimal_coloring,
+                fallback.certificate) == (r.value, r.optimal_coloring,
+                                          r.certificate), g
+        assert fallback.nodes_explored >= r.nodes_explored, g
