@@ -508,7 +508,12 @@ def _sets_through(adj, u: int, to_v, largest: int, room: int):
             grow(s | w, size + 1, ext | adj[i] & ~closed, closed | adj[i],
                  spread | 1 << i * n, pairs | with_i, min(near, to_v[i]))
 
-    grow(1 << u, 1, adj[u], adj[u] | 1 << u, 1 << u * n, 0, to_v[u])
+    try:
+        grow(1 << u, 1, adj[u], adj[u] | 1 << u, 1 << u * n, 0, to_v[u])
+    finally:
+        # grow's closure refers to grow: a reference cycle that only the
+        # cyclic collector would free
+        del grow
     out.sort(key=lambda block: block[:2])
     return out, room
 
@@ -557,7 +562,12 @@ def min_cover(need: tuple, best: int, lower, blocks_with):
                  taken | pairs, cost + block[0])
             family.pop()
 
-    grow(need, 0, 0)
+    try:
+        grow(need, 0, 0)
+    finally:
+        # as in _sets_through; this cycle would also hold lower and
+        # blocks_with, and through them the caller's graph and grown sets
+        del grow
     return None if best_family is None else (best, best_family)
 
 

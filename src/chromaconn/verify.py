@@ -11,6 +11,7 @@ verifier cannot pass for a rejected certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -163,6 +164,68 @@ def _first_disjoint(masks, k: int, avail: Optional[int] = None,
     return None
 
 
+def _disjoint_order(adj, u: int, v: int, fits=None):
+    """The simple u-v paths that fits keeps (all by default), in the
+    (length, vertices) order that the first-disjoint rule tries."""
+    return sorted(simple_paths(adj, u, v, fits),
+                  key=lambda p: (len(p[1]), p[0]))
+
+
+class _GraphTables:
+    """What the checkers of one graph read that no pattern changes, each
+    part built when first read.  Every list here is shared by all the
+    checkers of the graph, so none of them may change it.  A pair's family
+    is a list, not a tuple: CPython keeps thousands of freed tuples of each
+    short length on free lists, and discarding a graph's tuple families
+    would fill them (a measured 14% rise in peak memory)."""
+
+    def __init__(self, graph: Graph):
+        self.graph = graph
+        self.pairs = _all_pairs(graph.n)
+
+    @cached_property
+    def nonadjacent(self):
+        """The nonadjacent pairs, most distant first.  Single-edge paths
+        satisfy every pattern, so only these pairs can fail, and the most
+        distant ones fail fastest."""
+        graph = self.graph
+        dist = [bfs_distances(graph, u) for u in range(graph.n)]
+        return sorted((p for p in self.pairs if not graph.has_edge(*p)),
+                      key=lambda p: (-dist[p[0]][p[1]], p))
+
+    @cached_property
+    def paths(self):
+        """Per nonadjacent pair, its simple paths as sorted edge tuples in
+        simple_paths order."""
+        adj = self.graph.adjacency()
+        return [[tuple(sorted(es)) for _, es in simple_paths(adj, u, v)]
+                for u, v in self.nonadjacent]
+
+    @cached_property
+    def disjoint_paths(self):
+        """Per pair, adjacent pairs included, its simple paths as (vertices,
+        sorted edge tuple) in _disjoint_order."""
+        adj = self.graph.adjacency()
+        return [[(vs, tuple(sorted(es)))
+                 for vs, es in _disjoint_order(adj, u, v)]
+                for u, v in self.pairs]
+
+    @cached_property
+    def bonds(self):
+        """_pair_bonds of every pair; the graph must be connected."""
+        return _pair_bonds(self.graph, self.pairs)
+
+
+@lru_cache(maxsize=1)
+def _tables(graph: Graph) -> _GraphTables:
+    """The _GraphTables of graph.  One graph is held at a time, so the
+    columns of a table row, which run back to back on one graph, build its
+    paths and bonds once, and the next graph replaces them.  Graph is a
+    frozen dataclass, compared by (n, edges), so a relabeled copy is
+    another key."""
+    return _GraphTables(graph)
+
+
 def _path_vertices(graph: Graph, edges, u: int) -> tuple:
     """The vertex tuple, from its end u, of the simple path on edges."""
     verts, rest = [u], set(edges)
@@ -180,27 +243,22 @@ class ConnCheck:
     def __init__(self, graph: Graph):
         self.graph = graph
         self.search = PathSearch(graph)
-        dist = [bfs_distances(graph, u) for u in range(graph.n)]
-        self.pairs = _all_pairs(graph.n)
-        # single-edge paths satisfy every pattern, so only nonadjacent pairs
-        # can fail; test the most distant first to fail fast
-        self.nonadjacent = sorted(
-            (p for p in self.pairs if not graph.has_edge(*p)),
-            key=lambda p: (-dist[p[0]][p[1]], p),
-        )
+        self.tables = _tables(graph)
+        self.pairs = self.tables.pairs
+        self.nonadjacent = self.tables.nonadjacent
 
     def table(self, pattern) -> DisconnCheck:
         """The DisconnCheck of each nonadjacent pair's simple paths, as
         sorted edge tuples in simple_paths order; for PROPER_RAINBOW, under
         the rainbow rule, then each vertex's star as a one-member family.
         A path's edges fix its ends, so the paths take their bits in family
-        order, and the stars take later bits or share a path's."""
-        adj = self.graph.adjacency()
-        families = [[tuple(sorted(es)) for _, es in simple_paths(adj, u, v)]
-                    for u, v in self.nonadjacent]
+        order, and the stars take later bits or share a path's.  The path
+        families are the graph's shared ones; the stars go in a new list."""
+        families = self.tables.paths
         if pattern == PROPER_RAINBOW:
             pattern = Pattern.RAINBOW
-            families += [[tuple(sorted(e for _, e in nbrs))] for nbrs in adj]
+            families = families + [[tuple(sorted(e for _, e in nbrs))]
+                                   for nbrs in self.graph.adjacency()]
         return DisconnCheck(self.graph, pattern, families)
 
     # no caller in the package; kept for perfbench/tracing.py's patch and
@@ -251,21 +309,16 @@ class KConnCheck:
 
     def __init__(self, graph: Graph, k: int, mode: str):
         self.graph, self.k, self.mode = graph, k, mode
-        self.pairs = _all_pairs(graph.n)
-
-    def _paths(self, u: int, v: int, fits=None):
-        """The simple u-v paths that fits keeps (all by default), in the
-        (length, vertices) order that the first-disjoint rule tries."""
-        return sorted(simple_paths(self.graph.adjacency(), u, v, fits),
-                      key=lambda p: (len(p[1]), p[0]))
+        self.tables = _tables(graph)
+        self.pairs = self.tables.pairs
 
     def table(self, pattern: Pattern) -> DisjointCheck:
         """The DisjointCheck of every pair's simple paths, adjacent pairs
-        included, in _paths order, as (sorted edge tuple, resource mask)."""
+        included, in _disjoint_order, as (sorted edge tuple, resource
+        mask)."""
         families = []
-        for u, v in self.pairs:
-            paths = self._paths(u, v)
-            families.append([(tuple(sorted(es)), r) for (_, es), r in
+        for paths in self.tables.disjoint_paths:
+            families.append([(es, r) for (_, es), r in
                              zip(paths, _resources(paths, self.mode))])
         return DisjointCheck(self.graph, pattern, families, self.k)
 
@@ -273,14 +326,15 @@ class KConnCheck:
     # tests compare the k >= 2 tables with it
     def connected(self, colors: Sequence, pattern: Pattern) -> bool:
         fits = _prefix_test(colors, pattern)
+        adj = self.graph.adjacency()
         for u, v in self.pairs:
-            paths = self._paths(u, v, fits)
+            paths = _disjoint_order(adj, u, v, fits)
             if _first_disjoint(_resources(paths, self.mode), self.k) is None:
                 return False
         return True
 
     def witnesses(self, colors: Sequence, table: DisjointCheck):
-        """Per pair, the first k disjoint fitting paths in _paths order, or
+        """Per pair, the first k disjoint fitting paths in _disjoint_order, or
         None if a pair has none: _watch's rule on the family's live bits,
         table (from self.table) being folded over colors, as in ConnCheck."""
         live = table._live(colors)
@@ -366,7 +420,8 @@ class DisconnCheck:
 
     families defaults to the pair cut families, and then cuts[k] lists pair
     k's bonds (minimal cuts) as (cut, side), sorted by (size, edges), side
-    being the u-side; G must be connected.  Why bonds suffice is below.
+    being the u-side, read from the graph's shared _tables; G must be
+    connected.  Why bonds suffice is below.
     Given families, lists of sorted edge tuples, replace the cuts; an empty
     list constrains nothing.  The edges of a simple path that share an
     endpoint are its consecutive ones, so the proper rule is the proper-path
@@ -448,7 +503,7 @@ class DisconnCheck:
         self.cuts = None  # pair cut families only: witnesses need them
         if families is None:
             _require_connected(graph)
-            self.cuts = _pair_bonds(graph, self.pairs)
+            self.cuts = _tables(graph).bonds
             families = [[cut for cut, _ in entries] for entries in self.cuts]
         ends = _edge_ends(graph)
         self.bit = {}  # distinct member -> its bit

@@ -1,3 +1,4 @@
+import gc
 from itertools import product as iproduct
 
 import pytest
@@ -287,3 +288,21 @@ def test_tree_cover_bound_holds_when_the_cover_gives_up(monkeypatch):
                 fallback.certificate) == (r.value, r.optimal_coloring,
                                           r.certificate), g
         assert fallback.nodes_explored >= r.nodes_explored, g
+
+
+def test_solves_leave_no_cyclic_garbage():
+    """The cover search grows connected sets on C6 and the wheel W5, and
+    every solve runs _search: with the cyclic collector off, a solve leaves
+    nothing that only the collector could free (recursive closures drop
+    their reference to themselves)."""
+    wheel = build_graph(6, [(0, w) for w in range(1, 6)]
+                        + [(w, w % 5 + 1) for w in range(1, 6)])
+    gc.collect()
+    gc.disable()
+    try:
+        for g in (cycle_graph(6), wheel):
+            connection_number(g, Pattern.MONOCHROMATIC)
+        connection_number(cycle_graph(5), Pattern.RAINBOW)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
