@@ -147,8 +147,8 @@ def _search(m: int, ts, checker, budget: Optional[int], leaf, tally=None):
     """The one prefix walk: for each t in ts, the restricted-growth strings
     of length m with exactly t colors, depth first in value order.
 
-    checker, if given, has an initial state and extend(i, prefix, state),
-    called right after prefix[i] is colored with the state of prefix[:i]; it
+    checker has an initial state and extend(i, prefix, state), called
+    right after prefix[i] is colored with the state of prefix[:i]; it
     returns the state of prefix[:i+1], or None to reject that prefix and its
     subtree.  The walk keeps one state per depth, so backtracking restores
     it.  leaf(t, colors) gets each complete string the checker kept (colors
@@ -201,8 +201,7 @@ def _search(m: int, ts, checker, budget: Optional[int], leaf, tally=None):
             if nused + slack < t:
                 continue  # too few edges left to reach t colors
             prefix[i] = val
-            nstate = state if checker is None else checker.extend(
-                i, prefix, state)
+            nstate = checker.extend(i, prefix, state)
             if nstate is not None and not last:
                 if i >= first:
                     good = nstate & done[i]
@@ -222,7 +221,6 @@ def _search(m: int, ts, checker, budget: Optional[int], leaf, tally=None):
                 return True
         return False
 
-    initial = 0 if checker is None else checker.initial
     per_t = {}
     try:
         for t in ts:
@@ -232,7 +230,7 @@ def _search(m: int, ts, checker, budget: Optional[int], leaf, tally=None):
                     settle(0, m)
                     stop = False
                 else:
-                    stop = walk(0, 0, initial)
+                    stop = walk(0, 0, checker.initial)
             except BudgetExceededError as err:
                 per_t[t] = err.explored - start
                 err.nodes_per_t = per_t
@@ -279,7 +277,7 @@ def connection_number(graph: Graph, pattern: Pattern, k: int = 1,
     disjoint pattern paths between every vertex pair.
 
     Requires a connected graph supporting k disjoint paths per pair in the
-    given mode.  The one-vertex graph has no pairs; its value is 0.
+    given mode.  A graph of at most one vertex has no pairs, value 0.
     """
     if not isinstance(pattern, Pattern):
         raise ValueError("pattern must be a Pattern")
@@ -287,7 +285,7 @@ def connection_number(graph: Graph, pattern: Pattern, k: int = 1,
     objective = pattern.objective
     kind = "connection" if k == 1 else "k_connection"
     cert_k, cert_mode = (None, None) if k == 1 else (k, mode)
-    if graph.n == 1:
+    if graph.n <= 1:
         return _trivial_result(pattern.value, kind, objective, cert_k,
                                cert_mode)
     tester, checker = _connection_checks(graph, pattern, k, mode)
@@ -308,7 +306,7 @@ def disconnection_number(graph: Graph, pattern: Pattern,
     vertex pair a separating cut that fits the pattern.
 
     Defined for rainbow, proper and monochromatic patterns on connected
-    graphs; the one-vertex graph has no pairs, value 0.
+    graphs; a graph of at most one vertex has no pairs, value 0.
 
     Rainbow scans t upward from lambda+ = max over pairs of the local edge
     connectivity lambda(u,v), the size of a minimum u-v cut: a rainbow u-v
@@ -327,7 +325,7 @@ def disconnection_number(graph: Graph, pattern: Pattern,
     if not is_connected(graph):
         raise ValueError("disconnection numbers require a connected graph")
     objective = pattern.objective
-    if graph.n == 1:
+    if graph.n <= 1:
         return _trivial_result(pattern.value, "disconnection", objective)
     checker = DisconnCheck(graph, pattern)
     m = graph.m
@@ -335,7 +333,7 @@ def disconnection_number(graph: Graph, pattern: Pattern,
         ts = range(min(m, graph.n - 1), 0, -1)
     elif pattern is Pattern.RAINBOW:
         # each pair's cuts are sorted by size, the first is a minimum cut
-        lam = max(len(cuts[0][0]) for cuts in checker.cuts)
+        lam = max(len(family[0][0]) for family in checker.families)
         ts = range(lam, m + 1)
     else:
         ts = range(1, m + 1)
@@ -352,7 +350,7 @@ def proper_rainbow_connection_number(graph: Graph,
     rainbow connected."""
     if not is_connected(graph):
         raise ValueError("connection numbers require a connected graph")
-    if graph.n == 1:
+    if graph.n <= 1:
         return _trivial_result(PROPER_RAINBOW, "connection", "min")
     tester, checker = _connection_checks(graph, PROPER_RAINBOW)
     m = graph.m

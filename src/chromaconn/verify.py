@@ -165,16 +165,18 @@ def _first_disjoint(masks, k: int, avail: Optional[int] = None,
 
 
 def _disjoint_order(adj, u: int, v: int, fits=None):
-    """The simple u-v paths that fits keeps (all by default), in the
-    (length, vertices) order that the first-disjoint rule tries."""
-    return sorted(simple_paths(adj, u, v, fits),
-                  key=lambda p: (len(p[1]), p[0]))
+    """The simple u-v paths that fits keeps (all by default) as (sorted
+    edges, vertices), in the (length, vertices) order of _first_disjoint."""
+    return sorted(((tuple(sorted(es)), vs)
+                   for vs, es in simple_paths(adj, u, v, fits)),
+                  key=lambda p: (len(p[0]), p[1]))
 
 
 class _GraphTables:
     """What the checkers of one graph read that no pattern changes, each
     part built when first read.  Every list here is shared by all the
-    checkers of the graph, so none of them may change it.  A pair's family
+    checkers of the graph, so none of them may change it.  A family is a
+    list of (member, witness) pairs, member being a sorted edge tuple; it
     is a list, not a tuple: CPython keeps thousands of freed tuples of each
     short length on free lists, and discarding a graph's tuple families
     would fill them (a measured 14% rise in peak memory)."""
@@ -182,6 +184,7 @@ class _GraphTables:
     def __init__(self, graph: Graph):
         self.graph = graph
         self.pairs = _all_pairs(graph.n)
+        self.flows = {}  # mode -> per pair, max_disjoint_paths' count
 
     @cached_property
     def nonadjacent(self):
@@ -195,20 +198,19 @@ class _GraphTables:
 
     @cached_property
     def paths(self):
-        """Per nonadjacent pair, its simple paths as sorted edge tuples in
-        simple_paths order."""
+        """Per nonadjacent pair (u, v), its simple paths as (sorted edge
+        tuple, vertices from u) in simple_paths order."""
         adj = self.graph.adjacency()
-        return [[tuple(sorted(es)) for _, es in simple_paths(adj, u, v)]
+        return [[(tuple(sorted(es)), vs)
+                 for vs, es in simple_paths(adj, u, v)]
                 for u, v in self.nonadjacent]
 
     @cached_property
     def disjoint_paths(self):
-        """Per pair, adjacent pairs included, its simple paths as (vertices,
-        sorted edge tuple) in _disjoint_order."""
+        """Per pair, adjacent pairs included, its simple paths in
+        _disjoint_order."""
         adj = self.graph.adjacency()
-        return [[(vs, tuple(sorted(es)))
-                 for vs, es in _disjoint_order(adj, u, v)]
-                for u, v in self.pairs]
+        return [_disjoint_order(adj, u, v) for u, v in self.pairs]
 
     @cached_property
     def bonds(self):
@@ -226,16 +228,6 @@ def _tables(graph: Graph) -> _GraphTables:
     return _GraphTables(graph)
 
 
-def _path_vertices(graph: Graph, edges, u: int) -> tuple:
-    """The vertex tuple, from its end u, of the simple path on edges."""
-    verts, rest = [u], set(edges)
-    while rest:
-        e = next(e for e in rest if verts[-1] in graph.edges[e])
-        rest.remove(e)
-        verts.append(sum(graph.edges[e]) - verts[-1])
-    return tuple(verts)
-
-
 class ConnCheck:
     """Pattern-connectivity tests for one graph across many colorings; the
     witnesses are read from table(pattern), a search's forward checker."""
@@ -248,16 +240,15 @@ class ConnCheck:
         self.nonadjacent = self.tables.nonadjacent
 
     def table(self, pattern) -> DisconnCheck:
-        """The DisconnCheck of each nonadjacent pair's simple paths, as
-        sorted edge tuples in simple_paths order; for PROPER_RAINBOW, under
-        the rainbow rule, then each vertex's star as a one-member family.
-        A path's edges fix its ends, so the paths take their bits in family
-        order, and the stars take later bits or share a path's.  The path
-        families are the graph's shared ones; the stars go in a new list."""
+        """The DisconnCheck of the graph's shared nonadjacent path families;
+        for PROPER_RAINBOW, under the rainbow rule, then each vertex's star
+        as a one-member family with witness None, in a new list.  A path's
+        edges fix its ends, so the paths take their bits in family order,
+        and the stars take later bits or share a path's."""
         families = self.tables.paths
         if pattern == PROPER_RAINBOW:
             pattern = Pattern.RAINBOW
-            families = families + [[tuple(sorted(e for _, e in nbrs))]
+            families = families + [[(tuple(sorted(e for _, e in nbrs)), None)]
                                    for nbrs in self.graph.adjacency()]
         return DisconnCheck(self.graph, pattern, families)
 
@@ -272,34 +263,27 @@ class ConnCheck:
 
     def witnesses(self, colors: Sequence, table: DisconnCheck):
         """Per pair, its first fitting path in simple_paths order under
-        table's pattern, or None if a pair has none.  Folded over colors,
-        table, from self.table, keeps exactly the fitting paths: a
-        nonadjacent pair's witness is its family's lowest live bit.  An
-        adjacent pair, outside the table, walks."""
-        live = table._live(colors)
-        if live is None:
+        table's pattern, or None if a pair has none.  A nonadjacent pair's
+        is read by table.first, table being from self.table; an adjacent
+        pair, outside the table, walks."""
+        first = table.first(colors)
+        if first is None:
             return None
-        family = dict(zip(self.nonadjacent, table.family_masks))
-        members = list(table.bit)
-        out = []
-        for u, v in self.pairs:
-            mask = family.get((u, v))
-            if mask is None:
-                path = self.search.find(colors, u, v, table.pattern).vertices
-            else:
-                low = live & mask
-                bit = (low & -low).bit_length() - 1
-                path = _path_vertices(self.graph, members[bit], u)
-            out.append(PairWitness(u, v, paths=(path,)))
-        return tuple(out)
+        find = self.search.find
+        found = list(zip(self.nonadjacent, first))
+        found += [((u, v), find(colors, u, v, table.pattern).vertices)
+                  for u, v in self.graph.edges]
+        return tuple(PairWitness(u, v, paths=(path,))
+                     for (u, v), path in sorted(found))
 
 
-def _resources(paths, mode: str):
-    """Per path (vertices, edges), what k disjoint paths may not share: the
-    bitmask of its edges (edge mode) or of its interior vertices."""
+def _resources(family, mode: str):
+    """Per path (edges, vertices) of family, what k disjoint paths may not
+    share: the bitmask of its edges (edge mode) or of its interior
+    vertices."""
     if mode == "edge":
-        return [sum(1 << e for e in es) for _, es in paths]
-    return [sum(1 << w for w in vs[1:-1]) for vs, _ in paths]
+        return [sum(1 << e for e in es) for es, _ in family]
+    return [sum(1 << w for w in vs[1:-1]) for _, vs in family]
 
 
 class KConnCheck:
@@ -313,14 +297,9 @@ class KConnCheck:
         self.pairs = self.tables.pairs
 
     def table(self, pattern: Pattern) -> DisjointCheck:
-        """The DisjointCheck of every pair's simple paths, adjacent pairs
-        included, in _disjoint_order, as (sorted edge tuple, resource
-        mask)."""
-        families = []
-        for paths in self.tables.disjoint_paths:
-            families.append([(es, r) for (_, es), r in
-                             zip(paths, _resources(paths, self.mode))])
-        return DisjointCheck(self.graph, pattern, families, self.k)
+        """The DisjointCheck of the graph's shared disjoint_paths."""
+        return DisjointCheck(self.graph, pattern, self.tables.disjoint_paths,
+                             self.k, self.mode)
 
     # no caller in the package; kept for perfbench/tracing.py's patch, and
     # tests compare the k >= 2 tables with it
@@ -334,20 +313,14 @@ class KConnCheck:
         return True
 
     def witnesses(self, colors: Sequence, table: DisjointCheck):
-        """Per pair, the first k disjoint fitting paths in _disjoint_order, or
-        None if a pair has none: _watch's rule on the family's live bits,
-        table (from self.table) being folded over colors, as in ConnCheck."""
-        live = table._live(colors)
-        if live is None:
+        """Per pair, the first k disjoint fitting paths in _disjoint_order,
+        or None if a pair has none: table.first, table being from
+        self.table."""
+        first = table.first(colors)
+        if first is None:
             return None
-        members = list(table.bit)
-        out = []
-        for (u, v), (lo, full, res) in zip(self.pairs, table.members):
-            chosen = _first_disjoint(res, self.k, live >> lo & full)
-            out.append(PairWitness(u, v, paths=tuple(
-                _path_vertices(self.graph, members[lo + j], u)
-                for j in chosen)))
-        return tuple(out)
+        return tuple(PairWitness(u, v, paths=paths)
+                     for (u, v), paths in zip(self.pairs, first))
 
 
 def _edge_ends(graph: Graph):
@@ -418,15 +391,15 @@ class DisconnCheck:
     and certifies disconnection, and it is the forward checker of
     solve._search for cuts, paths and stars.
 
-    families defaults to the pair cut families, and then cuts[k] lists pair
-    k's bonds (minimal cuts) as (cut, side), sorted by (size, edges), side
-    being the u-side, read from the graph's shared _tables; G must be
-    connected.  Why bonds suffice is below.
-    Given families, lists of sorted edge tuples, replace the cuts; an empty
-    list constrains nothing.  The edges of a simple path that share an
-    endpoint are its consecutive ones, so the proper rule is the proper-path
-    rule, and a one-member family holding a vertex's star, under the rainbow
-    rule, says its edges differ.
+    A family lists (member, witness) pairs, member a sorted edge tuple; the
+    table keeps the families list it is given and never changes it.  It
+    defaults to the pair cut families, _tables.bonds: pair k's bonds
+    (minimal cuts) with their u-sides, sorted by (size, edges); G must be
+    connected.  Why bonds suffice is below.  Given families hold paths
+    with their vertex tuples, or vertex stars with None.  The edges of a
+    simple path that share an endpoint are its consecutive ones, so the
+    proper rule is the proper-path rule, and a one-member family holding a
+    vertex's star, under the rainbow rule, says its edges differ.
 
     Members are pooled, one bit each, and the state of a colored prefix
     (edges are colored in index order) is the bitmask of members still
@@ -454,10 +427,9 @@ class DisconnCheck:
     ones.  A prefix is rejected as soon as a family has no live member: it
     rejects no prefix with a feasible completion, whose fitting members are
     never killed, and a complete coloring that survives has a fitting
-    member in every family.  disconnected and witnesses fold extend over a
-    whole coloring, and ConnCheck and KConnCheck read their path witnesses
-    from the same fold.  A pair's cut witness is the side of its first live
-    cut.
+    member in every family.  first folds extend over a whole coloring and
+    gives each family's first live, so first fitting, witness (k disjoint
+    ones in DisjointCheck); every witnesses method reads it.
 
     A pair's bonds give the same nodes and witnesses as all its crossing
     cuts d(S), u in S, which suffice: a u-v separating edge set contains
@@ -500,22 +472,23 @@ class DisconnCheck:
         self.graph = graph
         self.pattern = pattern
         self.pairs = _all_pairs(graph.n)
-        self.cuts = None  # pair cut families only: witnesses need them
         if families is None:
             _require_connected(graph)
-            self.cuts = _tables(graph).bonds
-            families = [[cut for cut, _ in entries] for entries in self.cuts]
+            families = _tables(graph).bonds
+        self.families = families
         ends = _edge_ends(graph)
-        self.bit = {}  # distinct member -> its bit
-        compare = {}   # (f, i) with f < i -> mask of members comparing i, f
+        bit = {}      # distinct member -> its bit
+        compare = {}  # (f, i) with f < i -> mask of members comparing i, f
         self.rows = [[] for _ in range(graph.m)]
+        self.bits = []  # per family, its members' bits in family order
         self.family_masks = []
         for family in families:
+            bits = []
             mask = 0
-            for s in family:
-                b = self.bit.get(s)
+            for s, _ in family:
+                b = bit.get(s)
                 if b is None:
-                    b = self.bit[s] = len(self.bit)
+                    b = bit[s] = len(bit)
                     pairs = ()
                     if pattern is _MONOCHROMATIC:
                         pairs = [(s[0], e) for e in s[1:]]
@@ -527,9 +500,11 @@ class DisconnCheck:
                         self.rows[s[-1]].append((s, 1 << b))
                     for fi in pairs:
                         compare[fi] = compare.get(fi, 0) | 1 << b
+                bits.append(b)
                 mask |= 1 << b
+            self.bits.append(bits)
             self.family_masks.append(mask)
-        self.initial = (1 << len(self.bit)) - 1
+        self.initial = (1 << len(bit)) - 1
         for (f, i), mask in compare.items():
             self.rows[i].append((f, mask))
 
@@ -563,8 +538,9 @@ class DisconnCheck:
         live & done[i] meets every family mask, extend rejects nothing.
         This is the one-member rule; DisjointCheck's families need k."""
         done = [0] * self.graph.m
-        for s, b in self.bit.items():
-            done[s[-1]] |= 1 << b
+        for family, bits in zip(self.families, self.bits):
+            for (s, _), b in zip(family, bits):
+                done[s[-1]] |= 1 << b
         for i in range(1, len(done)):
             done[i] |= done[i - 1]
         return done
@@ -577,6 +553,18 @@ class DisconnCheck:
                 break
         return live
 
+    def first(self, colors: Sequence):
+        """Per family, _pick's witness under the complete coloring colors;
+        None if a family has no fitting member."""
+        live = self._live(colors)
+        return None if live is None else [
+            self._pick(f, live) for f in range(len(self.families))]
+
+    def _pick(self, f: int, live: int):
+        """The witness of family f's first live member."""
+        return next(w for (_, w), b in zip(self.families[f], self.bits[f])
+                    if live >> b & 1)
+
     # no caller in the package; perfbench/tracing.py patches it by name
     def disconnected(self, colors: Sequence) -> bool:
         return self._live(colors) is not None
@@ -584,33 +572,30 @@ class DisconnCheck:
     def witnesses(self, colors: Sequence):
         """Per pair, the side of its first fitting cut; None if a pair has
         none."""
-        live = self._live(colors)
-        if live is None:
+        first = self.first(colors)
+        if first is None:
             return None
-        out = []
-        for (u, v), entries in zip(self.pairs, self.cuts):
-            side = next(s for cut, s in entries if live >> self.bit[cut] & 1)
-            out.append(PairWitness(u, v, side=side))
-        return tuple(out)
+        return tuple(PairWitness(u, v, side=side)
+                     for (u, v), side in zip(self.pairs, first))
 
 
 class DisjointCheck(DisconnCheck):
     """The table of DisconnCheck for k >= 2 disjoint paths per pair; see its
     docstring for why the rule is exact.  families lists each pair's paths
-    as (sorted edge tuple, resource mask), in the order the first-disjoint
-    rule of KConnCheck tries them; a simple path's edges fix its ends, so no
-    two families share a member and each family's bits are consecutive."""
+    as (sorted edge tuple, vertices), in the order the first-disjoint rule
+    tries them, and mode says what disjoint paths may not share; a simple
+    path's edges fix its ends, so no two families share a member and each
+    family's bits are consecutive."""
 
-    def __init__(self, graph: Graph, pattern: Pattern, families, k: int):
-        super().__init__(graph, pattern,
-                         [[s for s, _ in family] for family in families])
+    def __init__(self, graph: Graph, pattern: Pattern, families, k: int,
+                 mode: str):
+        super().__init__(graph, pattern, families)
         self.k = k
         self.members = []  # per family: lowest bit, all bits, resources
         self.owner = []    # bit -> family
-        for f, family in enumerate(families):
-            self.members.append((self.bit[family[0][0]],
-                                 (1 << len(family)) - 1,
-                                 [r for _, r in family]))
+        for f, (family, bits) in enumerate(zip(families, self.bits)):
+            self.members.append((bits[0], (1 << len(family)) - 1,
+                                 _resources(family, mode)))
             self.owner += [f] * len(family)
         # every member comparing edge i with an earlier edge; under the
         # monochromatic rule that edge is the member's first, so the dead
@@ -640,6 +625,13 @@ class DisjointCheck(DisconnCheck):
         self.watched_all = self.watched_all & ~self.watched[f] | new
         self.watched[f] = new
         return True
+
+    def _pick(self, f: int, live: int):
+        """The vertex tuples of family f's first k disjoint live members,
+        as _watch picks them."""
+        lo, full, res = self.members[f]
+        chosen = _first_disjoint(res, self.k, live >> lo & full)
+        return tuple(self.families[f][j][1] for j in chosen)
 
     def extend(self, i: int, prefix, live: int):
         """State after coloring edge i, or None when some family no longer
@@ -684,8 +676,11 @@ def _check_k_connected(graph: Graph, k: int, mode: str):
         raise ValueError(f"unknown mode {mode!r}")
     if graph.n <= 1 or k == 1:
         return  # k=1 is plain connectivity, checked separately
-    for u, v in _all_pairs(graph.n):
-        have = max_disjoint_paths(graph, u, v, mode)[0]
+    tables = _tables(graph)  # each pair's max flow, once per mode
+    if mode not in tables.flows:
+        tables.flows[mode] = [max_disjoint_paths(graph, u, v, mode)[0]
+                              for u, v in tables.pairs]
+    for (u, v), have in zip(tables.pairs, tables.flows[mode]):
         if have < k:
             raise ValueError(
                 f"graph is not {k}-{mode}-connected: pair ({u},{v}) "

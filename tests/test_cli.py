@@ -113,6 +113,40 @@ def test_exit_codes(run_cli):
     assert _json_lines(cont.stdout)[0]["value"] == 2
 
 
+ZERO_VERTEX_JOBS = [
+    ["--pattern", p] for p in ("rainbow", "proper", "monochromatic",
+                               "conflict-free", "proper-rainbow")
+] + [
+    ["--pattern", p, "--task", "disconnect"]
+    for p in ("rainbow", "proper", "monochromatic")
+] + [
+    ["--pattern", p, "--k", "2", "--mode", mode]
+    for p in ("rainbow", "proper", "monochromatic", "conflict-free")
+    for mode in ("edge", "vertex")
+]
+
+
+@pytest.mark.parametrize("job", ZERO_VERTEX_JOBS, ids=" ".join)
+def test_zero_vertex_graph_has_value_0(run_cli, job):
+    # '?' is graph6 for n = 0: no pairs, so value 0 and no witnesses, and
+    # the stream goes on
+    r = run_cli(["compute", *job], stdin=f"?\n{C4}\n")
+    assert r.returncode == 0, r.stderr
+    empty, c4 = _json_lines(r.stdout)
+    assert (empty["graph"], empty["value"], empty["coloring"]) == ("?", 0, "")
+    assert empty["certificate"]["pairs"] == []
+    assert c4["graph"] == C4
+
+
+def test_zero_vertex_graph_in_table(run_cli):
+    r = run_cli(["table"], stdin=f"?\n{C4}\n")
+    assert r.returncode == 0, r.stderr
+    empty, c4 = _json_lines(r.stdout)
+    cols = ("rc", "pc", "mc", "cfc", "rd", "pd", "md", "prc")
+    assert empty == {"graph": "?", **dict.fromkeys(cols, 0), "exhausted": []}
+    assert c4["graph"] == C4 and c4["exhausted"] == []
+
+
 def test_flag_errors_exit_1(run_cli):
     assert run_cli(["compute", "--pattern", "sparkly",
                     "--graph", C4]).returncode == 1

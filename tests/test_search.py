@@ -1,8 +1,9 @@
 """The prefix walk of solve._search and its forward checkers.
 
-Without a checker the walk must reach complete strings in the order of
-restricted_growth_strings; with one it must accept exactly the strings that
-the whole-coloring tests accept, so every answer stays the same.  The cut and
+With a checker that rejects nothing the walk must reach complete strings in
+the order of restricted_growth_strings; with a table it must accept exactly
+the strings that the whole-coloring tests accept, so every answer stays the
+same.  The cut and
 path tables are measured against the brute-force cut and path families of
 oracles.py, as a table's whole-coloring test and its witnesses share it.
 """
@@ -52,6 +53,15 @@ def _accepted(m, t, checker):
     return seen
 
 
+class _KeepAll:
+    """A checker that rejects no prefix."""
+    initial = 0
+
+    @staticmethod
+    def extend(i, prefix, state):
+        return state
+
+
 def test_walk_without_checker_visits_canonical_order():
     for m in range(1, 7):
         for t in range(1, m + 1):
@@ -62,8 +72,8 @@ def test_walk_without_checker_visits_canonical_order():
                 seen.append(tuple(colors))
                 return len(seen) == len(want)
 
-            assert _search(m, (t,), None, None, last) == (t, want[-1],
-                                                          len(want))
+            assert _search(m, (t,), _KeepAll, None, last) == (
+                t, want[-1], len(want))
             assert seen == want
 
 

@@ -205,7 +205,7 @@ def test_cut_tables_list_exactly_each_pairs_bonds():
                  for s in minimal_separating_sets(g.n, g.edges, u, v)]
                 for u in range(g.n) for v in range(u + 1, g.n)]
         for pattern in CUT_PATTERNS:
-            assert DisconnCheck(g, pattern).cuts == want, (g, pattern)
+            assert DisconnCheck(g, pattern).families == want, (g, pattern)
 
 
 def test_cut_tables_require_a_connected_graph():
