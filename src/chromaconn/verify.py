@@ -185,6 +185,7 @@ class _GraphTables:
         self.graph = graph
         self.pairs = _all_pairs(graph.n)
         self.flows = {}  # mode -> per pair, max_disjoint_paths' count
+        self.pools = {}  # name of a shared list -> its _Pool
 
     @cached_property
     def nonadjacent(self):
@@ -216,6 +217,73 @@ class _GraphTables:
     def bonds(self):
         """_pair_bonds of every pair; the graph must be connected."""
         return _pair_bonds(self.graph, self.pairs)
+
+    def pool(self, families) -> _Pool:
+        """The _Pool of families: built once for each shared list above and
+        kept in pools under its name, built afresh for any other list
+        (prc's paths and stars)."""
+        for name in ("paths", "disjoint_paths", "bonds"):
+            if vars(self).get(name) is families:
+                if name not in self.pools:
+                    self.pools[name] = _Pool(families, self.graph.m)
+                return self.pools[name]
+        return _Pool(families, self.graph.m)
+
+
+class _Pool:
+    """A family list's members pooled, one bit per distinct member in order
+    of first appearance, and what every rule's rows are read from; nothing
+    here depends on the pattern, so the tables of all patterns share it and
+    none may change it.  bits gives each family's member bits in family
+    order, family_masks their unions, initial every bit.  Per edge e,
+    has[e] is the mask of the members containing e, head[e] of those whose
+    first edge is e, and last[e] of those whose last edge is e.  An empty
+    member (a star of an isolated vertex) is in no mask."""
+
+    def __init__(self, families, m: int):
+        bit = {}  # distinct member -> its bit
+        self.bits = []
+        self.family_masks = []
+        for family in families:
+            bits = []
+            mask = 0
+            for s, _ in family:
+                b = bit.get(s)
+                if b is None:
+                    b = bit[s] = len(bit)
+                bits.append(b)
+                mask |= 1 << b
+            self.bits.append(bits)
+            self.family_masks.append(mask)
+        self.members = list(bit)  # bit -> member
+        self.initial = (1 << len(bit)) - 1
+        self.has, self.head, self.last = [0] * m, [0] * m, [0] * m
+        for b, s in enumerate(self.members):
+            if s:
+                one = 1 << b
+                self.head[s[0]] |= one
+                self.last[s[-1]] |= one
+                for e in s:
+                    self.has[e] |= one
+        self.disjoint = {}  # mode -> DisjointCheck's (members, owner)
+
+    @cached_property
+    def decided(self):
+        """Per edge i, (s, bit mask) for each member s of two or more edges
+        whose last edge is i, in bit order: the conflict-free rows."""
+        rows = [[] for _ in self.has]
+        for b, s in enumerate(self.members):
+            if len(s) > 1:
+                rows[s[-1]].append((s, 1 << b))
+        return rows
+
+    @cached_property
+    def done(self):
+        """done[i], the members whose last edge is at most i."""
+        done = list(self.last)
+        for i in range(1, len(done)):
+            done[i] |= done[i - 1]
+        return done
 
 
 @lru_cache(maxsize=1)
@@ -403,14 +471,24 @@ class DisconnCheck:
 
     Members are pooled, one bit each, and the state of a colored prefix
     (edges are colored in index order) is the bitmask of members still
-    alive.  The rainbow, proper and monochromatic rules are pairwise
-    constraints, so when edge i gets its color it is compared with a
-    member's earlier edges only: with every one (rainbow), with those
-    sharing an endpoint (proper), or with the first (monochromatic,
-    equality being transitive).  rows[i] lists (f, mask), mask being the
-    members comparing edge i with edge f < i; they die when the colors are
-    equal (rainbow, proper) or differ (monochromatic), for every completion
-    of the prefix.
+    alive.  The pooling does not depend on the pattern, so it is a _Pool,
+    built once per shared family list (_GraphTables.pool).  The rainbow,
+    proper and monochromatic rules are pairwise constraints, so when edge i
+    gets its color it is compared with a member's earlier edges only: with
+    every one (rainbow), with those sharing an endpoint (proper), or with
+    the first (monochromatic, equality being transitive).  rows[i] lists
+    (f, mask), mask being the members comparing edge i with edge f < i;
+    they die when the colors are equal (rainbow, proper) or differ
+    (monochromatic), for every completion of the prefix.  The masks are
+    read from the pool's per-edge masks; f < i and members are sorted edge
+    tuples.  A member compares i with f under the rainbow rule exactly
+    when it contains both, has[f] & has[i]; under the proper rule exactly
+    when it contains both and f and i share an endpoint, the same mask
+    where they do and none where they do not; under the monochromatic rule
+    exactly when f is its first edge and it contains i, head[f] & has[i]
+    (a member whose first edge is f < i holds i among its later edges).
+    Zero masks are left out, so each row holds the same (f, mask) pairs as
+    one gathered member by member over each member's compared edge pairs.
 
     The conflict-free rule is not pairwise and has no cut form, so it needs
     explicit families.  A member is decided when its last (highest-index)
@@ -471,42 +549,30 @@ class DisconnCheck:
             raise ValueError(f"pattern {pattern.value} has no cut form")
         self.graph = graph
         self.pattern = pattern
-        self.pairs = _all_pairs(graph.n)
+        tables = _tables(graph)
+        self.pairs = tables.pairs
         if families is None:
             _require_connected(graph)
-            families = _tables(graph).bonds
+            families = tables.bonds
         self.families = families
+        self.pool = pool = tables.pool(families)
+        self.bits = pool.bits
+        self.family_masks = pool.family_masks
+        self.initial = pool.initial
+        if pattern is _CONFLICT_FREE:
+            self.rows = pool.decided
+            return
+        has = pool.has
+        left = pool.head if pattern is _MONOCHROMATIC else has
         ends = _edge_ends(graph)
-        bit = {}      # distinct member -> its bit
-        compare = {}  # (f, i) with f < i -> mask of members comparing i, f
         self.rows = [[] for _ in range(graph.m)]
-        self.bits = []  # per family, its members' bits in family order
-        self.family_masks = []
-        for family in families:
-            bits = []
-            mask = 0
-            for s, _ in family:
-                b = bit.get(s)
-                if b is None:
-                    b = bit[s] = len(bit)
-                    pairs = ()
-                    if pattern is _MONOCHROMATIC:
-                        pairs = [(s[0], e) for e in s[1:]]
-                    elif pattern is _RAINBOW:
-                        pairs = combinations(s, 2)
-                    elif pattern is _PROPER:
-                        pairs = _adjacent_pairs(ends, s)
-                    elif len(s) > 1:
-                        self.rows[s[-1]].append((s, 1 << b))
-                    for fi in pairs:
-                        compare[fi] = compare.get(fi, 0) | 1 << b
-                bits.append(b)
-                mask |= 1 << b
-            self.bits.append(bits)
-            self.family_masks.append(mask)
-        self.initial = (1 << len(bit)) - 1
-        for (f, i), mask in compare.items():
-            self.rows[i].append((f, mask))
+        for i, row in enumerate(self.rows):
+            for f in range(i):
+                if pattern is _PROPER and not ends[f] & ends[i]:
+                    continue
+                mask = left[f] & has[i]
+                if mask:
+                    row.append((f, mask))
 
     def extend(self, i: int, prefix, live: int):
         """State after coloring edge i, or None when some family lost its
@@ -532,18 +598,13 @@ class DisconnCheck:
         return live
 
     def settle_masks(self) -> list:
-        """done[i], the members whose last edge is at most i.  Once its
-        last edge is colored a live member stays live: rows[i] only lists
-        members containing edge i.  So below a prefix ending at edge i whose
-        live & done[i] meets every family mask, extend rejects nothing.
-        This is the one-member rule; DisjointCheck's families need k."""
-        done = [0] * self.graph.m
-        for family, bits in zip(self.families, self.bits):
-            for (s, _), b in zip(family, bits):
-                done[s[-1]] |= 1 << b
-        for i in range(1, len(done)):
-            done[i] |= done[i - 1]
-        return done
+        """done[i], the members whose last edge is at most i (the pool's
+        list, not to be changed).  Once its last edge is colored a live
+        member stays live: rows[i] only lists members containing edge i.  So
+        below a prefix ending at edge i whose live & done[i] meets every
+        family mask, extend rejects nothing.  This is the one-member rule;
+        DisjointCheck's families need k."""
+        return self.pool.done
 
     def _live(self, colors: Sequence):
         live = self.initial
@@ -591,19 +652,21 @@ class DisjointCheck(DisconnCheck):
                  mode: str):
         super().__init__(graph, pattern, families)
         self.k = k
-        self.members = []  # per family: lowest bit, all bits, resources
-        self.owner = []    # bit -> family
-        for f, (family, bits) in enumerate(zip(families, self.bits)):
-            self.members.append((bits[0], (1 << len(family)) - 1,
-                                 _resources(family, mode)))
-            self.owner += [f] * len(family)
-        # every member comparing edge i with an earlier edge; under the
-        # monochromatic rule that edge is the member's first, so the dead
-        # are those whose first edge has another color than edge i
-        self.touch = [0] * graph.m
-        for i, row in enumerate(self.rows):
-            for _, mask in row:
-                self.touch[i] |= mask
+        if mode not in self.pool.disjoint:
+            members = []  # per family: lowest bit, all bits, resources
+            owner = []    # bit -> family
+            for f, (family, bits) in enumerate(zip(families, self.bits)):
+                members.append((bits[0], (1 << len(family)) - 1,
+                                _resources(family, mode)))
+                owner += [f] * len(family)
+            self.pool.disjoint[mode] = members, owner
+        self.members, self.owner = self.pool.disjoint[mode]
+        # per edge i, the members comparing it with an earlier edge under
+        # the monochromatic rule, their first: those holding i but not
+        # starting at it; the dead are those whose first edge has another
+        # color than edge i
+        self.touch = [has & ~head
+                      for has, head in zip(self.pool.has, self.pool.head)]
         self.watched = [0] * len(families)  # per family: its k members' bits
         self.watched_all = 0
         for f in range(len(families)):

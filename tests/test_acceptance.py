@@ -233,6 +233,52 @@ def test_columns_move_as_proven_when_an_edge_is_added():
     )
 
 
+def test_k2_columns_move_as_proven_from_k1_and_between_modes():
+    """For every connected graph G with at most six vertices, each k = 2
+    cell solved at budget 20k (cells that exhaust it, and modes in which G
+    is not 2-connected, are skipped):
+    - rc2 >= rc, pc2 >= pc, cfc2 >= cfc and mc2 <= mc: a coloring with two
+      disjoint fitting paths per pair has one;
+    - the edge-mode value is at most the vertex-mode value for rc, pc and
+      cfc, and at least it for mc: internally vertex-disjoint paths are
+      edge-disjoint."""
+    P = cc.Pattern
+    violations = []
+    solved = skipped = 0
+    for g, val in _census_values(6).values():
+        if g.n < 2:
+            continue  # no pairs
+        name = cc.write_graph6(g)
+        for col, p in (("rc", P.RAINBOW), ("pc", P.PROPER),
+                       ("mc", P.MONOCHROMATIC), ("cfc", P.CONFLICT_FREE)):
+            k2 = {}
+            for mode in ("edge", "vertex"):
+                try:
+                    k2[mode] = cc.connection_number(
+                        g, p, k=2, mode=mode, budget=20_000).value
+                except cc.BudgetExceededError:
+                    skipped += 1
+                    continue
+                except ValueError:
+                    continue  # not 2-connected in this mode
+                solved += 1
+                if p.objective == "min" and not k2[mode] >= val[col]:
+                    violations.append((name, f"{col}2 >= {col}", mode))
+                if p.objective == "max" and not k2[mode] <= val[col]:
+                    violations.append((name, f"{col}2 <= {col}", mode))
+            if len(k2) == 2:
+                edge, vertex = k2["edge"], k2["vertex"]
+                if not (edge <= vertex if p.objective == "min"
+                        else edge >= vertex):
+                    violations.append((name, f"{col}2 edge vs vertex"))
+    _report(
+        "k = 2 columns against k = 1 and between modes",
+        solved + skipped == 580 and solved > 0 and not violations,
+        f"{solved} cells solved, {skipped} exhausted, "
+        f"{len(violations)} violations",
+    )
+
+
 # ------------------------------------------------------------------ 5
 
 

@@ -1,13 +1,16 @@
 """The per-graph tables that every checker of one graph shares.
 
-verify._tables holds one graph's pair order, path families, bonds and
-disjoint-path counts, and the columns of a table row read them in turn.
-Sharing must change nothing: each column gives the same result whatever ran
-before it on the graph, no solve changes the shared lists, and a relabeled
-graph never reads the tables of the graph it was relabeled from.
+verify._tables holds one graph's pair order, path families, bonds,
+disjoint-path counts and the pooled form of each family list, and the
+columns of a table row read them in turn.  Sharing must change nothing:
+each column gives the same result whatever ran before it on the graph, no
+solve changes the shared lists or pools, every rule's rows read from a pool
+are those of the member-pair rule, and a relabeled graph never reads the
+tables of the graph it was relabeled from.
 """
 
 from copy import deepcopy
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -18,6 +21,7 @@ from chromaconn import (
     build_graph,
     connected_graphs_up_to,
     connection_number,
+    count_colorings,
     proper_rainbow_connection_number,
     verify_certificate,
 )
@@ -25,14 +29,14 @@ from chromaconn import verify
 from chromaconn.cli import TABLE_COLUMNS
 from chromaconn.solve import _connection_checks
 from chromaconn.verify import (CUT_PATTERNS, PROPER_RAINBOW, DisconnCheck,
-                               _tables)
+                               _adjacent_pairs, _edge_ends, _tables)
 
 CENSUS = [g for g in connected_graphs_up_to(6) if g.n <= 5]
 ORDER6 = [g for g in connected_graphs_up_to(6) if g.n == 6][::4]
+RULES = (Pattern.RAINBOW, Pattern.PROPER, Pattern.MONOCHROMATIC,
+         Pattern.CONFLICT_FREE)
 # k >= 2 cells: every k-connected pattern, in both modes
-K2_CELLS = [(p, mode) for p in (Pattern.RAINBOW, Pattern.PROPER,
-                                Pattern.MONOCHROMATIC, Pattern.CONFLICT_FREE)
-            for mode in ("edge", "vertex")]
+K2_CELLS = [(p, mode) for p in RULES for mode in ("edge", "vertex")]
 
 
 def _outcome(solve, budget):
@@ -73,20 +77,124 @@ def test_columns_give_the_same_results_in_any_order(graphs, budget):
         assert forward == backward == alone, g
 
 
+def _pooled(tables):
+    """Every pool of tables, as plain data to compare."""
+    return {name: vars(pool) for name, pool in tables.pools.items()}
+
+
 def test_no_solve_changes_the_shared_tables():
     """prc adds the stars to a copy of the path families, and the cut and
-    k >= 2 solves only read theirs."""
+    k >= 2 solves only read theirs; a second round of the same solves
+    leaves every pool, built in the first, as it was."""
     g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
+    _tables.cache_clear()
     tables = _tables(g)
     before = deepcopy((tables.nonadjacent, tables.paths,
                        tables.disjoint_paths, tables.bonds))
-    for solve in TABLE_COLUMNS.values():
-        solve(g)
-    for p, mode in K2_CELLS:
-        connection_number(g, p, k=2, mode=mode)
+    pools = None
+    for _ in range(2):
+        for solve in TABLE_COLUMNS.values():
+            solve(g)
+        for p, mode in K2_CELLS:
+            connection_number(g, p, k=2, mode=mode)
+        if pools is None:
+            pools = deepcopy(_pooled(tables))
     assert _tables(g) is tables
     assert (tables.nonadjacent, tables.paths, tables.disjoint_paths,
             tables.bonds) == before
+    assert set(pools) == {"paths", "disjoint_paths", "bonds"}
+    assert _pooled(tables) == pools
+
+
+def test_each_shared_list_is_pooled_once_per_graph(monkeypatch):
+    """A graph's eight table columns, its count cells and its k = 2 cells
+    pool paths, bonds and disjoint_paths once each; prc pools its own
+    paths + stars list; the k = 2 tables read the pool of disjoint_paths."""
+    calls = []
+    real = verify._Pool
+
+    def counting(families, m):
+        calls.append(families)
+        return real(families, m)
+
+    monkeypatch.setattr(verify, "_Pool", counting)
+    g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
+    _tables.cache_clear()
+    for solve in TABLE_COLUMNS.values():
+        solve(g)
+    for p in RULES:
+        count_colorings(g, p, 3)
+    for p in CUT_PATTERNS:
+        count_colorings(g, p, 3, prop="disconnected")
+    for p, mode in K2_CELLS:
+        connection_number(g, p, k=2, mode=mode)
+    tables = _tables(g)
+    for shared in (tables.paths, tables.bonds, tables.disjoint_paths):
+        assert sum(families is shared for families in calls) == 1
+    assert len(calls) == 4  # the three shared lists and prc's
+    for p, mode in K2_CELLS:
+        table = _connection_checks(g, p, 2, mode)[1]
+        assert table.pool is tables.pools["disjoint_paths"]
+    assert len(calls) == 4  # the k = 2 tables built again pooled nothing
+
+
+def _member_pair_rule(graph, pattern, families):
+    """(rows as {(f, i): mask}, or as [(i, member, mask)] for the
+    conflict-free rule, settle masks), gathered member by member: each
+    distinct member, one bit each in order of first appearance, adds its
+    bit to the mask of every pair of its edges the rule compares."""
+    ends = _edge_ends(graph)
+    bit = {}
+    for family in families:
+        for s, _ in family:
+            bit.setdefault(s, len(bit))
+    compare = {}
+    decided = []
+    done = [0] * graph.m
+    for s, b in bit.items():
+        if s:
+            done[s[-1]] |= 1 << b
+        pairs = ()
+        if pattern is Pattern.MONOCHROMATIC:
+            pairs = [(s[0], e) for e in s[1:]]
+        elif pattern is Pattern.RAINBOW:
+            pairs = combinations(s, 2)
+        elif pattern is Pattern.PROPER:
+            pairs = _adjacent_pairs(ends, s)
+        elif len(s) > 1:
+            decided.append((s[-1], s, 1 << b))
+        for fi in pairs:
+            compare[fi] = compare.get(fi, 0) | 1 << b
+    for i in range(1, graph.m):
+        done[i] |= done[i - 1]
+    if pattern is Pattern.CONFLICT_FREE:
+        return sorted(decided, key=lambda row: row[0]), done
+    return compare, done
+
+
+@pytest.mark.parametrize("graphs", (CENSUS, ORDER6),
+                         ids=("census5", "order6-sample"))
+def test_rows_from_masks_are_the_member_pair_rule(graphs):
+    """Under every rule and for every family list (paths, bonds, prc's
+    paths + stars, disjoint_paths), a table's rows and settle masks equal
+    those gathered member by member."""
+    for g in graphs:
+        tables = _tables(g)
+        prc = _connection_checks(g, PROPER_RAINBOW)[1].families
+        lists = (tables.paths, tables.bonds, prc, tables.disjoint_paths)
+        for families in lists:
+            for pattern in RULES:
+                table = DisconnCheck(g, pattern, families)
+                want, done = _member_pair_rule(g, pattern, families)
+                if pattern is Pattern.CONFLICT_FREE:
+                    got = [(i, s, mask) for i, row in enumerate(table.rows)
+                           for s, mask in row]
+                else:
+                    got = {(f, i): mask for i, row in enumerate(table.rows)
+                           for f, mask in row}
+                    assert len(got) == sum(map(len, table.rows))
+                assert got == want, (g, pattern)
+                assert table.settle_masks() == done, (g, pattern)
 
 
 def test_tables_hold_the_shared_families_and_first_keeps_them():
