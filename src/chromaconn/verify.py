@@ -302,7 +302,6 @@ class ConnCheck:
 
     def __init__(self, graph: Graph):
         self.graph = graph
-        self.search = PathSearch(graph)
         self.tables = _tables(graph)
         self.pairs = self.tables.pairs
         self.nonadjacent = self.tables.nonadjacent
@@ -323,26 +322,23 @@ class ConnCheck:
     # no caller in the package; kept for perfbench/tracing.py's patch and
     # perfbench/build_reference.py
     def connected(self, colors: Sequence, pattern: Pattern) -> bool:
-        find = self.search.find
+        find = PathSearch(self.graph).find
         for u, v in self.nonadjacent:
             if find(colors, u, v, pattern) is None:
                 return False
         return True
 
     def witnesses(self, colors: Sequence, table: DisconnCheck):
-        """Per pair, its first fitting path in simple_paths order under
-        table's pattern, or None if a pair has none.  A nonadjacent pair's
-        is read by table.first, table being from self.table; an adjacent
-        pair, outside the table, walks."""
+        """Per pair, its witness path under table's pattern, or None if a
+        pair has none: an adjacent pair's own edge, which fits every
+        pattern, and a nonadjacent pair's first fitting path in simple_paths
+        order, read by table.first, table being from self.table."""
         first = table.first(colors)
         if first is None:
             return None
-        find = self.search.find
-        found = list(zip(self.nonadjacent, first))
-        found += [((u, v), find(colors, u, v, table.pattern).vertices)
-                  for u, v in self.graph.edges]
-        return tuple(PairWitness(u, v, paths=(path,))
-                     for (u, v), path in sorted(found))
+        found = dict(zip(self.nonadjacent, first))
+        return tuple(PairWitness(u, v, paths=(found.get((u, v), (u, v)),))
+                     for u, v in self.pairs)
 
 
 def _resources(family, mode: str):
@@ -754,14 +750,18 @@ def _check_k_connected(graph: Graph, k: int, mode: str):
 def is_pattern_connected(graph: Graph, coloring: EdgeColoring,
                          pattern: Pattern) -> Optional[Certificate]:
     """Certificate with one pattern path per pair, or None if some pair has
-    none.  A pair's witness is its first fitting path in simple_paths order
-    (PathSearch.find), the path ConnCheck.witnesses reads from a solver's
-    table, found without listing every path of every pair."""
+    none.  A pair's witness is the one ConnCheck.witnesses reads from a
+    solver's table: an adjacent pair's own edge, and a nonadjacent pair's
+    first fitting path in simple_paths order (PathSearch.find), found
+    without listing every path of every pair."""
     _require_connected(graph)
     _check_coloring(graph, coloring)
     find = PathSearch(graph).find
     wit = []
     for u, v in _all_pairs(graph.n):
+        if graph.has_edge(u, v):
+            wit.append(PairWitness(u, v, paths=((u, v),)))
+            continue
         path = find(coloring.colors, u, v, pattern)
         if path is None:
             return None

@@ -222,7 +222,7 @@ def test_columns_move_as_proven_when_an_edge_is_added():
                     ("mc grows", plus["mc"] >= val["mc"] + 1),
                     ("rd does not shrink", val["rd"] <= plus["rd"]),
                     ("pd does not shrink", val["pd"] <= plus["pd"]),
-                    ("md shrinks by at most one",
+                    ("md grows by at most one",
                      val["md"] >= plus["md"] - 1)):
                 if not ok:
                     violations.append((cc.write_graph6(g), e, relation))

@@ -5,8 +5,8 @@ disjoint-path counts and the pooled form of each family list, and the
 columns of a table row read them in turn.  Sharing must change nothing:
 each column gives the same result whatever ran before it on the graph, no
 solve changes the shared lists or pools, every rule's rows read from a pool
-are those of the member-pair rule, and a relabeled graph never reads the
-tables of the graph it was relabeled from.
+are those of the member-pair rule, and a relabeled graph gets the same
+values and never reads the tables of the graph it was relabeled from.
 """
 
 from copy import deepcopy
@@ -249,25 +249,23 @@ def test_k_connectivity_is_checked_once_per_graph_and_mode(monkeypatch):
 
 
 def test_a_relabeled_copy_reads_its_own_tables():
-    """Solving G and then a relabeling of G: every certificate of the copy
-    verifies against the copy, so no table of G was read for it."""
+    """Solving G and then a fixed random relabeling of G, for every graph of
+    order at most 5 and every 4th of order 6, under every table column:
+    the values are equal, as the invariants do not depend on the labels,
+    and every certificate of the copy verifies against the copy, so no
+    table of G was read for it.  Node counts are not compared: the search
+    colors edges in index order, so they depend on the labels."""
     rng = Random(7)
-    for g in CENSUS[10:] + ORDER6[:4]:
+    for g in CENSUS + ORDER6:
         perm = list(range(g.n))
-        while perm == list(range(g.n)):
+        while g.n > 1 and perm == list(range(g.n)):
             rng.shuffle(perm)
         copy = build_graph(g.n, [(perm[a], perm[b]) for a, b in g.edges])
-        if copy == g:
-            continue
-        for solve in TABLE_COLUMNS.values():
-            want = _outcome(lambda budget: solve(g, budget=budget), 1000)
-            result = _outcome(lambda budget: solve(copy, budget=budget),
-                              1000)
-            if isinstance(want, tuple) or isinstance(result, tuple):
-                continue  # exhausted: the node counts may differ
-            assert result.value == want.value, (g, copy)
+        for name, solve in TABLE_COLUMNS.items():
+            want, result = solve(g), solve(copy)
+            assert result.value == want.value, (name, g, copy)
             assert verify_certificate(copy, result.optimal_coloring,
-                                      result.certificate), (g, copy)
+                                      result.certificate), (name, g, copy)
     # prc right after rc on another graph of the same size
     a = build_graph(4, [(0, 1), (1, 2), (2, 3)])
     b = build_graph(4, [(0, 1), (0, 2), (0, 3)])

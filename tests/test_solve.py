@@ -21,6 +21,7 @@ from chromaconn import (
     star_graph,
     verify_certificate,
 )
+from chromaconn import coloring as coloring_module
 from chromaconn import graph as graph_module
 from chromaconn.solve import _connection_checks, _search, result_to_dict
 
@@ -83,6 +84,24 @@ def test_results_carry_valid_certificates():
         assert verify_certificate(g, r.optimal_coloring, r.certificate)
         assert r.optimal_coloring.distinct == r.value
         assert r.nodes_explored >= 1
+
+
+def test_no_solve_walks_for_a_path(monkeypatch):
+    """Every k = 1 connection solve, prc and connected count reads its
+    witnesses from its table, an adjacent pair's being its own edge: on the
+    census up to order 5 none calls PathSearch.find, and every certificate
+    verifies."""
+    def walk(*args):
+        raise AssertionError("PathSearch.find called")
+
+    monkeypatch.setattr(coloring_module.PathSearch, "find", walk)
+    for g in connected_graphs_up_to(5):
+        results = [connection_number(g, p) for p in Pattern]
+        results.append(proper_rainbow_connection_number(g))
+        for r in results:
+            assert verify_certificate(g, r.optimal_coloring, r.certificate)
+        for p in Pattern:
+            count_colorings(g, p, 3)
 
 
 def test_optimal_coloring_is_lex_first():

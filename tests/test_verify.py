@@ -250,10 +250,12 @@ def _witness_map(witnesses):
 
 def test_path_witnesses_are_the_first_fitting_oracle_paths():
     """On the census up to order 5, under every pattern and a few random
-    colorings, find and the k = 1 table's witnesses give each pair the
-    first fitting oracle path in vertex-tuple order, the walker's order.
-    The proper-rainbow table, whose stars follow the paths, gives the
-    first rainbow path under all-distinct colors."""
+    colorings, find gives each pair the first fitting oracle path in
+    vertex-tuple order, the walker's order, and the k = 1 table's
+    witnesses give each nonadjacent pair that path and each adjacent pair
+    its own edge, which fits every pattern.  The proper-rainbow table,
+    whose stars follow the paths, does the same under all-distinct
+    colors."""
     rng = random.Random(16)
     for g in connected_graphs_up_to(5):
         pairs = list(combinations(range(g.n), 2))
@@ -267,6 +269,8 @@ def test_path_witnesses_are_the_first_fitting_oracle_paths():
                     first = fit[0][0] if fit else None
                     got = search.find(colors, u, v, pattern)
                     assert (got.vertices if got else None) == first
+                    if g.has_edge(u, v):
+                        first = (u, v)
                     want[u, v] = (first,) if first else None
                 if None in want.values():
                     want = None
@@ -277,7 +281,8 @@ def test_path_witnesses_are_the_first_fitting_oracle_paths():
                 assert _witness_map(cert and cert.pairs) == want
         tester, table = _connection_checks(g, PROPER_RAINBOW)
         colors = tuple(range(g.m))
-        want = {(u, v): (_fitting(g, colors, "rainbow", u, v)[0][0],)
+        want = {(u, v): ((u, v) if g.has_edge(u, v) else
+                         _fitting(g, colors, "rainbow", u, v)[0][0],)
                 for u, v in pairs}
         assert _witness_map(tester.witnesses(colors, table)) == want
         cert = is_proper_rainbow_connected(g, EdgeColoring(colors, g.m))
