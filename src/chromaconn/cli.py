@@ -24,6 +24,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 from .coloring import EdgeColoring, Pattern
 from .graph import (
     _FAMILIES,
+    Graph,
     connected_graphs_up_to,
     generate,
     parse_graph6,
@@ -355,7 +356,9 @@ def _cmd_generate(args) -> int:
     else:
         params = tuple(int(p) for p in args.params.split(",")) \
             if args.params else ()
-        graphs = [generate(args.family, params)]
+        graphs = generate(args.family, params)
+        if isinstance(graphs, Graph):
+            graphs = [graphs]
     for graph in graphs:
         print(write_graph6(graph))
     return EXIT_OK

@@ -761,12 +761,33 @@ def petersen_graph() -> Graph:
 def connected_graphs_up_to(max_n: int) -> Iterator[Graph]:
     """Every connected graph with 1..max_n vertices, once per isomorphism class.
 
-    Builds level k from level k-1 by attaching one new vertex with every
-    nonempty neighborhood, deduplicating by canonical_form.  Every connected
-    graph arises this way (remove a non-cut vertex, e.g. a leaf of a spanning
-    tree).  A class is kept as its first candidate's neighbour bitmasks; a
-    Graph is built only to yield it, in key order.  max_n = 8 builds 12,113
-    graphs from about 108k canonical forms.
+    Builds level k from level k-1 by attaching one new vertex v with every
+    nonempty neighborhood M to each representative P, deduplicating by
+    canonical_form.  A class is kept as its first kept candidate's neighbour
+    bitmasks; a Graph is built only to yield it, in key order.  max_n = 8
+    builds 12,113 graphs from 22,648 canonical forms.
+
+    Two rules skip a candidate before it is keyed (McKay's canonical
+    augmentation, J. Algorithms 1998); neither changes which classes are
+    found, so keys and output are those of keying every candidate.
+
+    Least-degree deletion: skip P + M if some vertex w != v of it has
+    degree below v's and is not a cut vertex.  Every connected G has a
+    non-cut vertex (a leaf of a spanning tree); let v* have least degree
+    among them.  G - v* is connected, so it is isomorphic to some P, and
+    the candidate P + M that maps to G with v* onto v has no non-cut vertex
+    of lower degree than v: it is kept.
+
+    Twins: vertices a < b of P are twins when their neighbourhoods agree
+    outside {a, b}; swapping them is an automorphism of P.  Skip M if it
+    holds b but not a for some twin pair.  The swap maps such an M to M'
+    with P + M' isomorphic to P + M and M' < M as integers, so repeated
+    swaps end at a mask that passes.
+
+    Together: the swaps extend to isomorphisms of the candidates that fix
+    v, so they keep v's degree and every vertex's degree and cut status.
+    The candidate the first rule keeps for G thus swaps to one that both
+    rules keep.
     """
     if not (1 <= max_n <= 8):
         raise ValueError("supported range is 1 <= n <= 8")
@@ -774,11 +795,22 @@ def connected_graphs_up_to(max_n: int) -> Iterator[Graph]:
     level = [(0,)]
     for k in range(2, max_n + 1):
         bit = 1 << (k - 1)
+        full = (bit << 1) - 1
         nxt = {}
         for adj in level:
+            twins = [(1 << a | 1 << b, 1 << b)
+                     for b in range(k - 1) for a in range(b)
+                     if adj[a] & ~(1 << b) == adj[b] & ~(1 << a)]
             for nb_mask in range(1, bit):
+                if any(nb_mask & pair == b for pair, b in twins):
+                    continue
                 h = tuple(x | bit if nb_mask >> w & 1 else x
                           for w, x in enumerate(adj)) + (nb_mask,)
+                d = nb_mask.bit_count()
+                if any(x.bit_count() < d
+                       and _induces_connected(h, full ^ 1 << w)
+                       for w, x in enumerate(h)):
+                    continue
                 nxt.setdefault(canonical_form(h), h)
         level = nxt.values()
         for key in sorted(nxt):

@@ -335,6 +335,15 @@ def test_generate(run_cli):
     assert missing.returncode == 1
 
 
+def test_generate_census_family_equals_all_connected(run_cli):
+    family = run_cli(["generate", "--family", "all_connected_up_to",
+                      "--params", "3"])
+    assert family.returncode == 0, family.stderr
+    census = run_cli(["generate", "--all-connected", "3"])
+    assert family.stdout == census.stdout
+    assert len(family.stdout.splitlines()) == 4
+
+
 def test_pipe_equals_file(run_cli, tmp_path):
     corpus = run_cli(["generate", "--all-connected", "4"]).stdout
     piped = run_cli(["compute", "--pattern", "proper"], stdin=corpus)

@@ -370,6 +370,40 @@ def test_census_pinned():
         "59e37a3d7f4f3112abd1fccac8b59b26893a476ef1df8df368bcba6f6b4b7331"
 
 
+def _unpruned_census(max_n):
+    """The census keying every candidate: each level-(k-1) representative
+    plus a new vertex with every nonempty neighbourhood."""
+    yield Graph(1)
+    level = [(0,)]
+    for k in range(2, max_n + 1):
+        bit = 1 << (k - 1)
+        nxt = {}
+        for adj in level:
+            for nb_mask in range(1, bit):
+                h = tuple(x | bit if nb_mask >> w & 1 else x
+                          for w, x in enumerate(adj)) + (nb_mask,)
+                nxt.setdefault(canonical_form(h), h)
+        level = nxt.values()
+        for key in sorted(nxt):
+            yield graph_module._graph_from_mask(*key)
+
+
+def test_census_equals_the_unpruned_census():
+    pruned = list(connected_graphs_up_to(7))
+    assert pruned == list(_unpruned_census(7))
+    counts = [sum(g.n == n for g in pruned) for n in range(1, 8)]
+    assert counts == [1, 1, 2, 6, 21, 112, 853]
+
+
+def test_census_keys_only_the_candidates_the_rules_keep(monkeypatch):
+    calls = []
+    keyed = graph_module.canonical_form
+    monkeypatch.setattr(graph_module, "canonical_form",
+                        lambda adj: calls.append(adj) or keyed(adj))
+    assert sum(1 for _ in connected_graphs_up_to(7)) == 996
+    assert len(calls) == 1800
+
+
 def test_census_is_isomorphism_free():
     seen = set()
     for g in connected_graphs_up_to(5):
