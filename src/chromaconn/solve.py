@@ -21,7 +21,8 @@ without it.  Every forward checker is a verify.DisconnCheck table of pair
 cut families (disconnection) or of path and star families
 (_connection_checks), and at k >= 2 its DisjointCheck form, whose families
 must keep k disjoint live paths.  Every string a checker keeps is feasible,
-so no search tests its complete strings.
+so no search tests its complete strings.  Each band starts from the
+checker's start(t), which has cleared the members that fit no t colors.
 
 One node of work is a complete string reached or a prefix rejected.  Runtimes
 are exponential; a budget of nodes turns an over-large instance into an
@@ -147,12 +148,13 @@ def _search(m: int, ts, checker, budget: Optional[int], leaf, tally=None):
     """The one prefix walk: for each t in ts, the restricted-growth strings
     of length m with exactly t colors, depth first in value order.
 
-    checker has an initial state and extend(i, prefix, state), called
-    right after prefix[i] is colored with the state of prefix[:i]; it
-    returns the state of prefix[:i+1], or None to reject that prefix and its
-    subtree.  The walk keeps one state per depth, so backtracking restores
-    it.  leaf(t, colors) gets each complete string the checker kept (colors
-    is the walk's own list); a true result stops the walk.
+    checker has start(t), the state band t starts from, or None to skip
+    the band at zero nodes, and extend(i, prefix, state), called right
+    after prefix[i] is colored with the state of prefix[:i]; it returns the
+    state of prefix[:i+1], or None to reject that prefix and its subtree.
+    The walk keeps one state per depth, so backtracking restores it.
+    leaf(t, colors) gets each complete string the checker kept (colors is
+    the walk's own list); a true result stops the walk.
 
     tally(t, n), if given, adds settled subtrees in closed form; leaf must
     then never stop the walk, and checker must be a DisconnCheck (not its
@@ -225,12 +227,16 @@ def _search(m: int, ts, checker, budget: Optional[int], leaf, tally=None):
     try:
         for t in ts:
             start = nodes
+            state = checker.start(t)
+            if state is None:
+                per_t[t] = 0
+                continue
             try:
                 if first < 0:
                     settle(0, m)
                     stop = False
                 else:
-                    stop = walk(0, 0, checker.initial)
+                    stop = walk(0, 0, state)
             except BudgetExceededError as err:
                 per_t[t] = err.explored - start
                 err.nodes_per_t = per_t
@@ -380,8 +386,9 @@ def count_colorings(graph: Graph, pattern: Pattern, t: int,
     and none is tested.  Below a settled prefix, where every family keeps a
     live member whose edges are all colored, _search adds the number of
     strings in closed form instead of visiting them.  Nodes and budget are
-    those of the full walk: a complete string reached, visited or not, or a
-    prefix rejected; BudgetExceededError names the requested t, and its
+    those of the full walk from each band's start state: a complete string
+    reached, visited or not, or a prefix rejected, and none for a band whose
+    start is None; BudgetExceededError names the requested t, and its
     nodes_per_t is keyed by band j.
     """
     if t < 1:

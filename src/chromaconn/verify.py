@@ -238,7 +238,8 @@ class _Pool:
     order, family_masks their unions, initial every bit.  Per edge e,
     has[e] is the mask of the members containing e, head[e] of those whose
     first edge is e, and last[e] of those whose last edge is e.  An empty
-    member (a star of an isolated vertex) is in no mask."""
+    member (a star of an isolated vertex) is in no mask.  needs holds each
+    member's need under a rule, as masks by need (above)."""
 
     def __init__(self, families, m: int):
         bit = {}  # distinct member -> its bit
@@ -266,6 +267,23 @@ class _Pool:
                 for e in s:
                     self.has[e] |= one
         self.disjoint = {}  # mode -> DisjointCheck's (members, owner)
+        self.needs = {}     # rule -> above's list
+
+    def above(self, rule: str, need) -> list:
+        """above[t], the members s with need(s) > t, for t from 0 up to the
+        largest need less one (none beyond), computed once per rule."""
+        if rule not in self.needs:
+            by_need = {}  # need -> its members' bits
+            for b, s in enumerate(self.members):
+                by_need.setdefault(need(s), []).append(b)
+            above = [0] * max(by_need, default=0)
+            mask = 0
+            for t in range(len(above) - 1, -1, -1):
+                for b in by_need.get(t + 1, ()):
+                    mask |= 1 << b
+                above[t] = mask
+            self.needs[rule] = above
+        return self.needs[rule]
 
     @cached_property
     def decided(self):
@@ -417,6 +435,16 @@ def _pair_bonds(graph: Graph, pairs):
     return out
 
 
+def _max_degree(edges, s) -> int:
+    """The largest number of edges of s at one vertex, edges being the
+    graph's edge list."""
+    degree = {}
+    for e in s:
+        for w in edges[e]:
+            degree[w] = degree.get(w, 0) + 1
+    return max(degree.values(), default=0)
+
+
 def _cut_ok(colors, cut, adjacent, pattern: Pattern) -> bool:
     if pattern is _RAINBOW:
         seen = set()
@@ -505,6 +533,24 @@ class DisconnCheck:
     gives each family's first live, so first fitting, witness (k disjoint
     ones in DisjointCheck); every witnesses method reads it.
 
+    A band t starts from start(t): initial less above[t], the members whose
+    need is above t.  Under the rainbow rule a member's need is its number
+    of edges: by pigeonhole a member of more than t edges repeats a color
+    under t colors.  Under the proper rule, for the cut families only, it is
+    the largest number of the member's edges at one vertex, as those edges
+    must all differ; a cut is bipartite, so by Konig's edge-coloring theorem
+    that many colors suffice, and the test is exact.  A string of band t has
+    exactly t colors, so a cleared member fits no completion of any prefix.
+    Its family's fitting members are never cleared, so no prefix with a
+    feasible completion is rejected, and at a complete coloring the live
+    members are still exactly the fitting ones.  So the band accepts the
+    same strings: the lex-first string, the value and the counts stay.  A
+    family left with no member (k disjoint ones in DisjointCheck) makes the
+    band infeasible, and start gives None.  first folds from initial, so
+    the first live witness stays too; only the nodes move.  Proper paths
+    have need at most 2 and are left whole: the rule could refute only
+    their band 1, which is cheap, and costs a pass over every path.
+
     A pair's bonds give the same nodes and witnesses as all its crossing
     cuts d(S), u in S, which suffice: a u-v separating edge set contains
     the crossing cut of u's side after its removal.
@@ -534,10 +580,11 @@ class DisconnCheck:
     extend re-picks only the families that lost a watched member; the
     others still hold their k.  The watched sets are not restored on
     backtracking: extend keeps each inside the state it returns, or on a
-    rejection inside the state it was given, and a walk (or a fold from
-    initial) gives extend a state containing every state returned below
-    it.  So a watched set always lies inside the state that extend is
-    given, and it is still live if no dead member is in it.
+    rejection inside the state it was given, start picks them all afresh
+    inside the state it returns, and a walk (or a fold from initial) gives
+    extend a state containing every state returned below it.  So a watched
+    set always lies inside the state that extend is given, and it is still
+    live if no dead member is in it.
     """
 
     def __init__(self, graph: Graph, pattern: Pattern, families=None):
@@ -547,7 +594,8 @@ class DisconnCheck:
         self.pattern = pattern
         tables = _tables(graph)
         self.pairs = tables.pairs
-        if families is None:
+        cuts = families is None
+        if cuts:
             _require_connected(graph)
             families = tables.bonds
         self.families = families
@@ -555,6 +603,12 @@ class DisconnCheck:
         self.bits = pool.bits
         self.family_masks = pool.family_masks
         self.initial = pool.initial
+        self.above = []  # above[t]: the members that fit no t colors
+        if pattern is _RAINBOW:
+            self.above = pool.above("edges", len)
+        elif pattern is _PROPER and cuts:
+            self.above = pool.above("degree",
+                                    lambda s: _max_degree(graph.edges, s))
         if pattern is _CONFLICT_FREE:
             self.rows = pool.decided
             return
@@ -569,6 +623,17 @@ class DisconnCheck:
                 mask = left[f] & has[i]
                 if mask:
                     row.append((f, mask))
+
+    def start(self, t: int):
+        """The state band t starts from: initial less the members that fit
+        no coloring with t colors, or None when a family loses them all."""
+        if t >= len(self.above):
+            return self.initial
+        live = self.initial & ~self.above[t]
+        for mask in self.family_masks:
+            if not live & mask:
+                return None
+        return live
 
     def extend(self, i: int, prefix, live: int):
         """State after coloring edge i, or None when some family lost its
@@ -691,6 +756,17 @@ class DisjointCheck(DisconnCheck):
         lo, full, res = self.members[f]
         chosen = _first_disjoint(res, self.k, live >> lo & full)
         return tuple(self.families[f][j][1] for j in chosen)
+
+    def start(self, t: int):
+        """DisconnCheck.start, or None when a family no longer holds k
+        disjoint members in it; every family's watched members are picked
+        afresh inside the state."""
+        live = super().start(t)
+        if live is not None:
+            for f in range(len(self.families)):
+                if not self._watch(f, live):
+                    return None
+        return live
 
     def extend(self, i: int, prefix, live: int):
         """State after coloring edge i, or None when some family no longer

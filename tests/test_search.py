@@ -8,7 +8,7 @@ path tables are measured against the brute-force cut and path families of
 oracles.py, as a table's whole-coloring test and its witnesses share it.
 """
 
-from itertools import product
+from itertools import combinations, product
 from math import perm
 
 import pytest
@@ -21,6 +21,7 @@ from chromaconn import (
     connected_graphs_up_to,
     connection_number,
     count_colorings,
+    cycle_graph,
     disconnection_number,
     parse_graph6,
     proper_rainbow_connection_number,
@@ -32,9 +33,10 @@ from chromaconn.local import is_proper_edge_coloring
 from chromaconn.solve import _connection_checks, _search, _tails
 from chromaconn.verify import (CUT_PATTERNS, PROPER_RAINBOW, DisconnCheck,
                                _check_k_connected)
-from oracles import (_connected_under, _disconnected_under,
-                     _pair_cut_families, _pair_paths, all_pairs,
-                     cut_satisfies, minimal_separating_sets, u_side)
+from oracles import (_connected_under, _disconnected_under, _disjoint,
+                     _pair_cut_families, _pair_paths, adjacency, all_pairs,
+                     cut_satisfies, minimal_separating_sets,
+                     nonadjacent_pairs, simple_paths, u_side)
 
 PATH_PATTERNS = CUT_PATTERNS + (Pattern.CONFLICT_FREE,)
 
@@ -55,7 +57,10 @@ def _accepted(m, t, checker):
 
 class _KeepAll:
     """A checker that rejects no prefix."""
-    initial = 0
+
+    @staticmethod
+    def start(t):
+        return 0
 
     @staticmethod
     def extend(i, prefix, state):
@@ -282,3 +287,102 @@ def test_count_adds_settled_subtrees_as_the_walk_would():
                         want = _budget_error(lambda: plain(budget))
                         assert _budget_error(lambda: count(budget)) == \
                             want, (cell, budget)
+
+
+# ------------------------------------------------- per-band start states
+
+
+def _cut_degree(edges, cut):
+    """The most edges of cut at one vertex."""
+    ends = [w for e in cut for w in edges[e]]
+    return max(ends.count(w) for w in ends)
+
+
+def _start_tables(g):
+    """(name, checker, oracle families in the checker's family order, need,
+    k, mode) for every table whose start clears members: rd and pd on the
+    pair cut families, rc and prc on the nonadjacent pair paths (prc with
+    every vertex's star), k = 2 rc in both modes on every pair's paths.
+    The oracle members are edge-index collections.  At k = 1 the mode is
+    moot: one member is disjoint in either."""
+    cuts = _pair_cut_families(g.n, g.edges)
+    out = [("rd", DisconnCheck(g, Pattern.RAINBOW), cuts, len, 1, "edge"),
+           ("pd", DisconnCheck(g, Pattern.PROPER), cuts,
+            lambda cut: _cut_degree(g.edges, cut), 1, "edge")]
+    by_pair = dict(zip(nonadjacent_pairs(g.n, g.edges),
+                       _pair_paths(g.n, g.edges)))
+    tester, checker = _connection_checks(g, Pattern.RAINBOW)
+    paths = [by_pair[p] for p in tester.nonadjacent]
+    out.append(("rc", checker, paths, len, 1, "edge"))
+    stars = [[[e for _, e in nbrs]] for nbrs in adjacency(g.n, g.edges).values()]
+    out.append(("prc", _connection_checks(g, PROPER_RAINBOW)[1],
+                paths + stars, len, 1, "edge"))
+    for mode in ("edge", "vertex"):
+        try:
+            _check_k_connected(g, 2, mode)
+        except ValueError:
+            continue
+        tester, checker = _connection_checks(g, Pattern.RAINBOW, 2, mode)
+        out.append((f"rc.k2.{mode}", checker,
+                    [simple_paths(g.n, g.edges, u, v) for u, v in tester.pairs],
+                    len, 2, mode))
+    return out
+
+
+def test_start_clears_exactly_the_members_that_fit_no_t_colors():
+    """On the <= 5 census at every t: start(t) clears the members of more
+    than t edges under the rainbow rule (rd, rc, prc, k = 2 rc) and the cuts
+    with a vertex of cut-degree above t under the proper rule (pd), counted
+    from the oracle families; it is None exactly when a family keeps no
+    member (k disjoint ones at k = 2), and such a band costs no node."""
+    for g in connected_graphs_up_to(5):
+        if g.m == 0:
+            continue
+        for name, checker, families, need, k, mode in _start_tables(g):
+            assert [{frozenset(s) for s, _ in family}
+                    for family in checker.families] == [
+                {frozenset(s) for s in family} for family in families], name
+            for t in range(1, g.m + 1):
+                cell = (g, name, t)
+                kept = [[s for s in family if need(s) <= t]
+                        for family in families]
+                live = checker.start(t)
+                dead = any(not any(_disjoint(g.edges, c, mode)
+                                   for c in combinations(family, k))
+                           for family in kept)
+                assert (live is None) == dead, cell
+                if live is None:
+                    assert _search(g.m, (t,), checker, None, None) == (
+                        None, None, 0), cell
+                    continue
+                assert [{frozenset(s) for (s, _), b in zip(family, bits)
+                         if not live >> b & 1}
+                        for family, bits in zip(checker.families,
+                                                checker.bits)] == [
+                    {frozenset(s) for s in family if need(s) > t}
+                    for family in families], cell
+
+
+def test_start_is_initial_without_a_static_rule():
+    """mc, md, cfc and pc (k = 1 and 2) clear no member before a band, so
+    each band starts from initial."""
+    for g in SMALL:
+        checkers = [DisconnCheck(g, Pattern.MONOCHROMATIC)]
+        for pattern in (Pattern.MONOCHROMATIC, Pattern.CONFLICT_FREE,
+                        Pattern.PROPER):
+            checkers.append(_connection_checks(g, pattern)[1])
+            try:
+                checkers.append(_connection_checks(g, pattern, 2, "edge")[1])
+            except ValueError:
+                pass
+        for checker in checkers:
+            for t in range(1, g.m + 1):
+                assert checker.start(t) == checker.initial, (g, t)
+
+
+def test_a_band_with_no_start_shows_zero_nodes_per_t():
+    # C6's antipodal pairs have only paths of 3 edges, so rainbow bands 1
+    # and 2 end at their start; band 3 then spends the budget
+    with pytest.raises(BudgetExceededError) as err:
+        count_colorings(cycle_graph(6), Pattern.RAINBOW, 3, budget=1)
+    assert err.value.nodes_per_t == {1: 0, 2: 0, 3: 1}

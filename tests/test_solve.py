@@ -16,7 +16,9 @@ from chromaconn import (
     cycle_graph,
     diameter,
     disconnection_number,
+    is_pattern_connected,
     path_graph,
+    petersen_graph,
     proper_rainbow_connection_number,
     star_graph,
     verify_certificate,
@@ -56,6 +58,41 @@ def test_proper_rainbow_fixed_values():
     assert proper_rainbow_connection_number(complete_graph(3)).value == 3
     assert proper_rainbow_connection_number(cycle_graph(4)).value == 2
     assert proper_rainbow_connection_number(path_graph(4)).value == 3
+
+
+def _grid(a, b):
+    """P_a box P_b, vertex (i, j) numbered i * b + j."""
+    return build_graph(a * b,
+                       [(v, v + b) for v in range((a - 1) * b)]
+                       + [(v, v + 1) for v in range(a * b) if v % b < b - 1])
+
+
+def test_grid_rainbow_connection_is_a_plus_b_minus_2():
+    """rc(P_a box P_b) = a + b - 2.  Lower: the diameter, a + b - 2.  Upper:
+    give the steps between rows i and i + 1 color i and those between
+    columns j and j + 1 color a - 1 + j; a monotone path takes each step at
+    most once, so it is rainbow.  Checked first on C4 = P2 box P2 and on
+    P2 box P3."""
+    for a, b in ((2, 2), (2, 3), (3, 4), (4, 4)):
+        g = _grid(a, b)
+        value = a + b - 2
+        assert diameter(g) == value
+        steps = EdgeColoring(tuple(p // b if q - p == b else a - 1 + p % b
+                                   for p, q in g.edges), value)
+        cert = is_pattern_connected(g, steps, Pattern.RAINBOW)
+        assert cert is not None
+        assert verify_certificate(g, steps, cert)
+        r = connection_number(g, Pattern.RAINBOW, budget=200_000)
+        assert r.value == value, (a, b)
+        assert verify_certificate(g, r.optimal_coloring, r.certificate)
+
+
+def test_petersen_rainbow_values():
+    g = petersen_graph()
+    for solve, value in ((connection_number, 3), (disconnection_number, 4)):
+        r = solve(g, Pattern.RAINBOW, budget=200_000)
+        assert r.value == value, solve
+        assert verify_certificate(g, r.optimal_coloring, r.certificate)
 
 
 def test_k1_conventions():
@@ -231,9 +268,10 @@ def test_count_budget_counts_nodes_of_the_walk():
     with pytest.raises(BudgetExceededError) as err:
         count_colorings(k4, Pattern.RAINBOW, 3, budget=121)
     assert err.value.explored == 121
-    # the error names the requested palette, not the band searched
+    # the error names the requested palette, not the band searched: K4's
+    # band 2 alone has 31 strings
     with pytest.raises(BudgetExceededError) as err:
-        count_colorings(path_graph(3), Pattern.RAINBOW, 5, budget=1)
+        count_colorings(k4, Pattern.RAINBOW, 5, budget=1)
     assert err.value.t == 5
 
 
