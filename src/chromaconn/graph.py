@@ -634,6 +634,147 @@ def tree_cover(graph: Graph):
 
 
 # ---------------------------------------------------------------------------
+# blocks and ear decompositions
+
+def _bits(mask: int):
+    """The set bits of mask, lowest first, as vertex numbers."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _blocks(adj) -> list:
+    """Vertex masks of the blocks (maximal 2-connected subgraphs and
+    bridges) of a connected graph with at least one edge, adj being
+    neighbour_masks(graph): Tarjan's depth-first low points, without
+    recursion.  Two vertices of a block are adjacent in the graph iff they
+    are adjacent in the block, so a block is its vertex mask."""
+    disc = [-1] * len(adj)
+    low = [0] * len(adj)
+    disc[0] = 0
+    count = 1  # vertices discovered
+    found = []
+    stack = [0]  # vertices not yet in a block, in discovery order
+    frames = [[0, adj[0]]]  # vertex and its neighbours still to try
+    while True:
+        frame = frames[-1]
+        v, rest = frame
+        if rest:
+            w = (rest & -rest).bit_length() - 1
+            frame[1] = rest & (rest - 1)
+            if disc[w] < 0:
+                disc[w] = low[w] = count
+                count += 1
+                stack.append(w)
+                frames.append([w, adj[w]])
+            elif disc[w] < low[v]:
+                low[v] = disc[w]
+            continue
+        frames.pop()
+        if not frames:
+            return found
+        p = frames[-1][0]
+        low[p] = min(low[p], low[v])
+        if low[v] >= disc[p]:  # p separates v's subtree from the rest
+            block = 1 << p
+            while True:
+                x = stack.pop()
+                block |= 1 << x
+                if x == v:
+                    break
+            found.append(block)
+
+
+def _hop(adj, x: int, inside: int, ends: int, limit: int):
+    """(edges, inner mask) of a shortest path from x to a vertex of ends
+    whose inner vertices, at least one, all lie in inside, or None if every
+    such path has limit edges or more.  Breadth first on masks; ties go to
+    the lowest vertex at each step back from the end."""
+    levels = []
+    seen = 0
+    front = adj[x] & inside
+    while front and len(levels) + 2 < limit:
+        levels.append(front)
+        seen |= front
+        hit = 0
+        reach = 0
+        for w in _bits(front):
+            if adj[w] & ends:
+                hit |= 1 << w
+            reach |= adj[w]
+        if hit:
+            w = (hit & -hit).bit_length() - 1
+            inner = 1 << w
+            for level in reversed(levels[:-1]):
+                back = level & adj[w]
+                w = (back & -back).bit_length() - 1
+                inner |= 1 << w
+            return len(levels) + 1, inner
+        front = reach & inside & ~seen
+    return None
+
+
+def _ear_total(adj, block: int) -> int:
+    """The least over the block's edges uv of floor(k/2) + sum of
+    floor((l_i - 1)/2): k edges on a shortest cycle through uv, then l_i
+    edges on each open ear, taken greedily as a shortest ear with at least
+    one new vertex until the ears span the block.  Ears of one edge add 0
+    and are left out.  A 2-connected block has an ear from any vertex set
+    S of at least two of its vertices while some vertex r lies outside:
+    from a neighbour x in S of r's, a path in the block minus x from r to
+    S - x, stopped at S."""
+    best = len(adj)  # above any total, which is at most half the block
+    for u in _bits(block):
+        for v in _bits(adj[u] & block & ~((2 << u) - 1)):  # v > u
+            cycle = _hop(adj, u, block & ~(1 << u | 1 << v), 1 << v,
+                         2 * best - 1)
+            if cycle is None:
+                continue  # its cycle alone counts best or more
+            total = (cycle[0] + 1) // 2
+            have = cycle[1] | 1 << u | 1 << v
+            while have != block and total < best:
+                ear = (len(adj) + 1, 0)
+                outside = block & ~have
+                for x in _bits(have):
+                    if adj[x] & outside:
+                        ear = _hop(adj, x, outside, have & ~(1 << x),
+                                   ear[0]) or ear
+                        if ear[0] == 2:
+                            break
+                total += (ear[0] - 1) // 2
+                have |= ear[1]
+            best = min(best, total)
+            if best == 1:
+                return 1
+    return best
+
+
+def ear_bound(graph: Graph) -> int:
+    """An upper bound on md(G) for a connected graph: the sum over its
+    blocks of 1 for a bridge and of _ear_total for a 2-connected block, a
+    start cycle of k edges and open ears of l_1, l_2, ... edges (Whitney's
+    open ear decomposition), counted floor(k/2) + sum floor((l_i - 1)/2).
+    The proof that md(G) is at most any such sum, whatever the cycle and
+    the ears, is in solve.disconnection_number; the greedy choices affect
+    only how tight it is.
+
+    It is at most min(m, n - 1).  The cycle's floor(k/2) and each ear's
+    floor((l - 1)/2) are at most half the vertices they add, so a block
+    of n_B vertices and m_B >= n_B edges counts at most floor(n_B/2) <=
+    n_B - 1, and a bridge 1 = n_B - 1 = m_B.  Over the blocks, the n_B - 1
+    sum to n - 1 and the m_B to m.  A graph of at most one vertex has 0.
+    """
+    if graph.n <= 1:
+        return 0
+    if not is_connected(graph):
+        raise ValueError("ear_bound requires a connected graph")
+    adj = neighbour_masks(graph)
+    return sum(1 if block.bit_count() == 2 else _ear_total(adj, block)
+               for block in _blocks(adj))
+
+
+# ---------------------------------------------------------------------------
 # derived graphs
 
 def line_graph(graph: Graph) -> Graph:

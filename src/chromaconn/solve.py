@@ -43,8 +43,8 @@ from typing import Optional
 # restricted_growth_strings: no caller, kept for perfbench/tracing.py's patch
 from .coloring import EdgeColoring, Pattern, restricted_growth_strings
 # max_disjoint_paths: no caller, kept for perfbench/tracing.py's patch
-from .graph import (Graph, diameter, is_connected, max_disjoint_paths,
-                    tree_cover, write_graph6)
+from .graph import (Graph, diameter, ear_bound, is_connected,
+                    max_disjoint_paths, tree_cover, write_graph6)
 from .local import is_proper_edge_coloring
 from .verify import (
     PROPER_RAINBOW,
@@ -319,12 +319,28 @@ def disconnection_number(graph: Graph, pattern: Pattern,
     cut is a u-v cut, so it has at least lambda(u,v) edges, all of distinct
     colors.
 
-    Monochromatic scans t downward from min(m, n-1).  Take a feasible
-    coloring, a cycle C and an edge uv on C.  Some u-v cut is monochromatic;
-    the crossing cut of u's component after its removal is a subset of it,
-    so it is monochromatic too, contains uv and meets C in an even number of
-    edges.  So another edge of C has the color of uv: no cycle carries a
-    color exactly once, and one edge of each color forms a forest, t <= n-1.
+    Monochromatic scans t downward from graph.ear_bound, a sum over the
+    blocks of 1 per bridge and of floor(k/2) + sum floor((l_i - 1)/2) per
+    2-connected block, for a start cycle of k edges and open ears of l_i
+    edges.  Every band above it is infeasible, so the scan finds the same
+    first feasible band and lex-first string as one from min(m, n-1), which
+    the bound never exceeds.  Proof, for any cycle and ears: feasible means
+    that each pair u, v has a color c such that G - E_c separates them.
+    - Restriction.  The coloring stays feasible on any subgraph H, for H's
+      pairs, as H - E_c is a subgraph of G - E_c.
+    - Cycle.  An edge uv of color c is separated only by c, so on a cycle
+      through uv the rest of the cycle, a u-v path, holds another c edge.
+      Each color on a cycle of k edges appears at least twice, so the cycle
+      carries at most floor(k/2) colors.
+    - Ear.  Let P be an open ear of l edges with ends x != y, added to H,
+      which has an x-y path Q; H + P is feasible by restriction.  A color
+      new to H appears at least twice on P, by the cycle rule on P + Q.
+      The color separating x and y meets Q, so it is old, and meets P.  So
+      at most l - 1 edges of P carry new colors: at most floor((l - 1)/2).
+    - Blocks.  Each edge lies in one block, so each color on some block;
+      restricted to a bridge the coloring has one color.
+    md is additive over blocks on every graph of order <= 7, but solving
+    blocks apart would change which coloring is lex-first.
     """
     if pattern not in CUT_PATTERNS:
         raise ValueError(f"pattern {pattern.value} has no disconnection variant")
@@ -336,7 +352,7 @@ def disconnection_number(graph: Graph, pattern: Pattern,
     checker = DisconnCheck(graph, pattern)
     m = graph.m
     if pattern is Pattern.MONOCHROMATIC:
-        ts = range(min(m, graph.n - 1), 0, -1)
+        ts = range(ear_bound(graph), 0, -1)
     elif pattern is Pattern.RAINBOW:
         # each pair's cuts are sorted by size, the first is a minimum cut
         lam = max(len(family[0][0]) for family in checker.families)

@@ -30,6 +30,8 @@ from chromaconn import (
     write_graph6,
 )
 from chromaconn.graph import (
+    _blocks,
+    ear_bound,
     min_cover,
     tree_cover,
     GRAPH6_HEADER,
@@ -362,6 +364,28 @@ def test_connected_census():
     assert counts == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
     with pytest.raises(ValueError):
         list(connected_graphs_up_to(9))
+
+
+def test_blocks_match_networkx():
+    """The block split gives networkx's biconnected components, bridges
+    included, on every graph of the <= 6 census with an edge."""
+    for g in connected_graphs_up_to(6):
+        if not g.m:
+            continue
+        nxg = nx.Graph(list(g.edges))
+        want = sorted(sum(1 << w for w in c)
+                      for c in nx.biconnected_components(nxg))
+        assert sorted(_blocks(neighbour_masks(g))) == want, g
+
+
+def test_ear_bound_sums_its_blocks():
+    """Two triangles and a bridge between them count 1 + 1 + 1; a
+    disconnected graph is refused."""
+    bowtie = build_graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5),
+                             (4, 5)])
+    assert ear_bound(bowtie) == 3
+    with pytest.raises(ValueError):
+        ear_bound(build_graph(4, [(0, 1), (2, 3)]))
 
 
 def test_census_pinned():

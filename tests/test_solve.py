@@ -25,10 +25,12 @@ from chromaconn import (
 )
 from chromaconn import coloring as coloring_module
 from chromaconn import graph as graph_module
+from chromaconn.graph import ear_bound
 from chromaconn.solve import _connection_checks, _search, result_to_dict
+from chromaconn.verify import Certificate, DisconnCheck
 
-from oracles import cut_satisfies, minimal_separating_sets, seq_satisfies, \
-    simple_paths
+from oracles import cut_satisfies, minimal_separating_sets, \
+    oracle_disconnection_number, seq_satisfies, simple_paths
 
 # ------------------------------------------------------------ fixed values
 
@@ -345,6 +347,68 @@ def test_tree_cover_bound_holds_when_the_cover_gives_up(monkeypatch):
                 fallback.certificate) == (r.value, r.optimal_coloring,
                                           r.certificate), g
         assert fallback.nodes_explored >= r.nodes_explored, g
+
+
+def test_ear_bound_is_at_least_md_by_the_oracle():
+    """On the <= 5 census, the ear bound is at least md as the set-partition
+    oracle finds it, and at most min(m, n - 1)."""
+    for g in connected_graphs_up_to(5):
+        b = ear_bound(g)
+        assert b >= oracle_disconnection_number(g.n, g.edges,
+                                                "monochromatic"), g
+        assert b <= min(g.m, max(g.n - 1, 0)), g
+
+
+def test_ear_bound_keeps_the_scan_from_min_m_n_minus_1():
+    """On the <= 6 census, md scanned from ear_bound gives the value,
+    lex-first coloring and certificate of a scan from min(m, n - 1) on a
+    fresh checker, in no more nodes."""
+    mono = Pattern.MONOCHROMATIC
+    checked = 0
+    for g in connected_graphs_up_to(6):
+        if g.n <= 1:
+            continue
+        r = disconnection_number(g, mono)
+        checker = DisconnCheck(g, mono)
+        t, colors, nodes = _search(g.m, range(min(g.m, g.n - 1), 0, -1),
+                                   checker, None, lambda t, colors: True)
+        assert (r.value, r.optimal_coloring.colors) == (t, colors), g
+        assert r.certificate == Certificate(
+            "disconnection", mono.value, checker.witnesses(colors)), g
+        assert r.nodes_explored <= nodes, g
+        checked += 1
+    assert checked == 142
+
+
+def test_ear_bound_closed_forms():
+    """A tree's bound is m, one bridge per edge; C_n's is floor(n/2), its
+    own md; K_n's is 1, a triangle and ears of two edges; the Petersen
+    graph has md 2."""
+    mono = Pattern.MONOCHROMATIC
+    trees = [g for g in connected_graphs_up_to(6) if g.m == g.n - 1]
+    assert len(trees) == 14
+    for g in trees:
+        assert ear_bound(g) == g.m, g
+    for n in range(3, 10):
+        assert ear_bound(cycle_graph(n)) == n // 2
+        assert disconnection_number(cycle_graph(n), mono).value == n // 2
+    for n in range(3, 8):
+        assert ear_bound(complete_graph(n)) == 1
+        assert disconnection_number(complete_graph(n), mono).value == 1
+    r = disconnection_number(petersen_graph(), mono, budget=200_000)
+    assert r.value == 2
+    assert verify_certificate(petersen_graph(), r.optimal_coloring,
+                              r.certificate)
+
+
+def test_md_budget_error_starts_at_the_ear_bound():
+    """Petersen's ear bound is 3 (not n - 1 = 9), and band 3 alone spends
+    a budget of 1,000 nodes."""
+    with pytest.raises(BudgetExceededError) as err:
+        disconnection_number(petersen_graph(), Pattern.MONOCHROMATIC,
+                             budget=1000)
+    assert err.value.t == 3
+    assert err.value.nodes_per_t == {3: 1000}
 
 
 def test_solves_leave_no_cyclic_garbage():
