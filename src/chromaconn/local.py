@@ -6,6 +6,7 @@ product whose nonvanishing characterizes proper edge colorings.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cache
 from itertools import starmap, zip_longest
@@ -20,12 +21,13 @@ from .graph import Graph, canonical_form, line_graph, neighbour_masks
 @dataclass(frozen=True)
 class Polynomial:
     """Integer polynomial as coefficients low power to high, normalized so the
-    trailing coefficient is nonzero (the zero polynomial is (0,))."""
+    trailing coefficient is nonzero (the zero polynomial is (0,)).  A
+    coefficient that is not an integer raises TypeError."""
 
     coeffs: tuple
 
     def __post_init__(self):
-        cs = tuple(int(c) for c in self.coeffs)
+        cs = tuple(map(operator.index, self.coeffs))
         while len(cs) > 1 and cs[-1] == 0:
             cs = cs[:-1]
         if not cs:
@@ -107,6 +109,29 @@ def _components(adj: tuple) -> list:
     return parts
 
 
+def _simplicial(adj: tuple):
+    """The first vertex whose neighbours are pairwise adjacent, or None.  Each
+    neighbour is checked against the neighbours above it, so a vertex is
+    dismissed at its first nonadjacent pair of neighbours."""
+    for v, nbrs in enumerate(adj):
+        rest = nbrs
+        while rest:
+            w = rest & -rest
+            rest ^= w
+            if rest & ~adj[w.bit_length() - 1]:
+                break
+        else:
+            return v
+    return None
+
+
+def _drop(adj: tuple, v: int) -> tuple:
+    """Delete v; vertices above v shift down by one."""
+    low = (1 << v) - 1
+    return tuple(x & low | (x >> 1) & ~low
+                 for w, x in enumerate(adj) if w != v)
+
+
 def _identify(adj: tuple, a: int, b: int) -> tuple:
     """Merge b into a < b, dropping loops and parallels; vertices above b
     shift down by one, so vertex w > b becomes w - 1."""
@@ -136,9 +161,14 @@ def _chrom_connected(adj: tuple, memo) -> tuple:
     hit = memo.get(adj)
     if hit is not None:
         return hit
-    # G + uv, G / uv and G . e stay connected; only G - e can split
+    # G - v, G + uv, G / uv and G . e stay connected; only G - e can split
+    v = _simplicial(adj)
     nonedges = n * (n - 1) // 2 - m
-    if nonedges < m:
+    if v is not None:
+        # f(G) = (k - d) f(G - v) for a simplicial v of degree d
+        val = _pmul((-adj[v].bit_count(), 1),
+                    _chrom_connected(_drop(adj, v), memo))
+    elif nonedges < m:
         # dense: grow toward the complete graph
         # f(G) = f(G + uv) + f(G with u,v identified)
         u, v = _first_nonedge(adj)
@@ -204,10 +234,17 @@ def chromatic_polynomial(graph: Graph) -> Polynomial:
     multiply, so a bridge e splits G - e, and trees and complete graphs
     short-circuit.  Dense subproblems apply the same identity in the
     edge-adding direction, f(G) = f(G + uv) + f(G / uv) for the first
-    nonedge uv.  The recursion runs on neighbour bitmasks (bit w of adj[v]
-    set iff vw is an edge), and each connected subproblem is memoized by
-    that tuple, which determines the labeled graph as its sorted edge list
-    does.  Coefficients are exact ints.
+    nonedge uv.  Before either, a simplicial vertex v, one whose d
+    neighbours are pairwise adjacent, is peeled off: f(G) = (k - d) f(G - v).
+    Proof: in any proper k-coloring of G - v the d neighbours of v hold d
+    distinct colors, so v has exactly k - d choices.  G - v stays connected,
+    as a path through v enters and leaves it by two adjacent neighbours.
+    Line graphs, and the subproblems deletion-contraction makes of them, have
+    many such vertices (a pendant edge, or a clique at a vertex), and the
+    first in index order is taken.  The recursion runs on neighbour bitmasks
+    (bit w of adj[v] set iff vw is an edge), and each connected subproblem is
+    memoized by that tuple, which determines the labeled graph as its sorted
+    edge list does.  Coefficients are exact ints.
     """
     return Polynomial(_chrom(neighbour_masks(graph), {}))
 

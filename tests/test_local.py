@@ -9,6 +9,7 @@ from chromaconn import (
     Polynomial,
     build_graph,
     chromatic_polynomial,
+    complete_bipartite_graph,
     complete_graph,
     connected_graphs_up_to,
     cycle_graph,
@@ -51,6 +52,8 @@ def test_polynomial_basics():
     assert evaluate_polynomial(p, 3) == 6
     with pytest.raises(ValueError):
         Polynomial.from_text("1,a")
+    with pytest.raises(TypeError):  # not truncated to (0, 1)
+        Polynomial((0.5, 1))
 
 
 # --------------------------------------------------------------- chromatic
@@ -110,6 +113,35 @@ def dense_relabeled(draw, max_n=7):
             build_graph(n, [(perm[a], perm[b]) for a, b in edges]))
 
 
+@st.composite
+def chordal_relabeled(draw, max_n=12):
+    """A random chordal graph under a random vertex relabeling, and its clique
+    sizes: vertex i joins a clique C_i of earlier vertices, a subset of
+    C_j + {j} for some j < i (C_0 and any other C_i may be empty)."""
+    n = draw(st.integers(1, max_n))
+    cliques = [()]
+    for i in range(1, n):
+        j = draw(st.integers(0, i - 1))
+        base = cliques[j] + (j,)
+        keep = draw(st.integers(0, 2 ** len(base) - 1))
+        cliques.append(tuple(w for b, w in enumerate(base) if keep >> b & 1))
+    perm = draw(st.permutations(range(n)))
+    graph = build_graph(n, [(perm[i], perm[w])
+                            for i, clique in enumerate(cliques) for w in clique])
+    return graph, [len(clique) for clique in cliques]
+
+
+@settings(max_examples=150, deadline=None)
+@given(chordal_relabeled())
+def test_chordal_chromatic_is_product_over_its_elimination_order(pair):
+    # each vertex, colored after its clique C_i, has k - |C_i| choices
+    g, sizes = pair
+    f = chromatic_polynomial(g)
+    assert f.degree == g.n
+    for t in range(g.n + 1):
+        assert f(t) == math.prod(t - d for d in sizes)
+
+
 @settings(max_examples=100, deadline=None)
 @given(dense_relabeled())
 def test_chromatic_invariant_under_relabeling(pair):
@@ -131,6 +163,12 @@ def test_edge_chromatic_is_line_graph_chromatic():
             assert f(t) == count_proper_edge_colorings(g.n, list(g.edges), t)
     # the line graph of the 6-clique has 15 vertices: the dense branch
     assert edge_chromatic_polynomial(complete_graph(6))(5) == 720
+    # proper n-edge-colorings of K_{n,n} are the Latin squares of order n
+    assert edge_chromatic_polynomial(complete_bipartite_graph(3, 3))(3) == 12
+    assert edge_chromatic_polynomial(complete_bipartite_graph(4, 4))(4) == 576
+    # Petersen's chromatic index is 4 (class 2)
+    f = edge_chromatic_polynomial(petersen_graph())
+    assert f(3) == 0 and f(4) > 0
 
 
 def test_four_color_check():
