@@ -106,6 +106,8 @@ def certificate_from_dict(data: dict) -> Certificate:
         u, v = entry.get("u"), entry.get("v")
         if not _is_int(u) or not _is_int(v):
             raise ValueError("pair endpoints must be integers")
+        if ("side" in entry) == ("paths" in entry):
+            raise ValueError("pair witness needs exactly one of side, paths")
         if "side" in entry:
             side = entry["side"]
             if not isinstance(side, list) or not all(_is_int(x) for x in side):
@@ -462,21 +464,6 @@ def _cut_ok(colors, cut, adjacent, pattern: Pattern) -> bool:
     raise ValueError(f"pattern {pattern.value} has no cut form")
 
 
-def _unfit_conflict_free(row, colors) -> int:
-    """The union of the masks of the members (s, mask) in row on whose
-    edges no color occurs exactly once."""
-    dead = 0
-    for s, mask in row:
-        once = twice = 0
-        for e in s:
-            bit = 1 << colors[e]
-            twice |= once & bit
-            once |= bit
-        if not once & ~twice:
-            dead |= mask
-    return dead
-
-
 class DisconnCheck:
     """Table of edge-set families under one of the four pattern rules: a
     coloring passes when every family keeps a member that fits.  It tests
@@ -576,15 +563,20 @@ class DisconnCheck:
     killed on its prefixes, so they stay live.  At a complete coloring the
     live members are exactly the fitting paths, so a surviving coloring has
     k disjoint fitting paths per pair.  Both hold under all four rules, by
-    the argument above.  Each family watches k live disjoint members, and
-    extend re-picks only the families that lost a watched member; the
-    others still hold their k.  The watched sets are not restored on
-    backtracking: extend keeps each inside the state it returns, or on a
-    rejection inside the state it was given, start picks them all afresh
-    inside the state it returns, and a walk (or a fold from initial) gives
-    extend a state containing every state returned below it.  So a watched
-    set always lies inside the state that extend is given, and it is still
-    live if no dead member is in it.
+    the argument above.  So it keeps extend and start, which find the
+    members a rule kills, and changes only _lose, which says whether every
+    family survives their loss.  Each family watches k live disjoint
+    members, and _lose re-picks only the families that lost a watched
+    member; the others still hold their k.  The watched sets are neither
+    restored on backtracking nor picked afresh at each band.  Every watched
+    set lies inside initial.  start(t) re-picks inside the state it returns
+    the sets that above[t] meets, so none then meets above[t] and each lies
+    inside that state.  extend keeps each inside the state it returns, or
+    on a rejection inside the state it was given, and a walk (or a fold
+    from initial) gives extend a state containing every state returned
+    below it.  So a watched set always lies inside the state that extend is
+    given, and it is still live if no dead member is in it; when no live
+    member dies, extend returns the state as it is.
     """
 
     def __init__(self, graph: Graph, pattern: Pattern, families=None):
@@ -626,18 +618,15 @@ class DisconnCheck:
 
     def start(self, t: int):
         """The state band t starts from: initial less the members that fit
-        no coloring with t colors, or None when a family loses them all."""
+        no coloring with t colors, or None when a family cannot survive
+        their loss."""
         if t >= len(self.above):
             return self.initial
-        live = self.initial & ~self.above[t]
-        for mask in self.family_masks:
-            if not live & mask:
-                return None
-        return live
+        return self._lose(self.initial & ~self.above[t], self.above[t])
 
     def extend(self, i: int, prefix, live: int):
-        """State after coloring edge i, or None when some family lost its
-        last member."""
+        """State after coloring edge i, or None when some family cannot
+        survive the members it killed."""
         c = prefix[i]
         dead = 0
         if self.pattern is _MONOCHROMATIC:
@@ -645,14 +634,26 @@ class DisconnCheck:
                 if prefix[f] != c:
                     dead |= mask
         elif self.pattern is _CONFLICT_FREE:
-            dead = _unfit_conflict_free(self.rows[i], prefix)
+            # the members on whose edges no color occurs exactly once
+            for s, mask in self.rows[i]:
+                once = twice = 0
+                for e in s:
+                    bit = 1 << prefix[e]
+                    twice |= once & bit
+                    once |= bit
+                if not once & ~twice:
+                    dead |= mask
         else:
             for f, mask in self.rows[i]:
                 if prefix[f] == c:
                     dead |= mask
         if not dead & live:
             return live
-        live &= ~dead
+        return self._lose(live & ~dead, dead)
+
+    def _lose(self, live: int, dead: int):
+        """live, the state less the members dead, or None when a family has
+        no member in it: the one-member survival test."""
         for mask in self.family_masks:
             if not live & mask:
                 return None
@@ -722,12 +723,6 @@ class DisjointCheck(DisconnCheck):
                 owner += [f] * len(family)
             self.pool.disjoint[mode] = members, owner
         self.members, self.owner = self.pool.disjoint[mode]
-        # per edge i, the members comparing it with an earlier edge under
-        # the monochromatic rule, their first: those holding i but not
-        # starting at it; the dead are those whose first edge has another
-        # color than edge i
-        self.touch = [has & ~head
-                      for has, head in zip(self.pool.has, self.pool.head)]
         self.watched = [0] * len(families)  # per family: its k members' bits
         self.watched_all = 0
         for f in range(len(families)):
@@ -757,31 +752,10 @@ class DisjointCheck(DisconnCheck):
         chosen = _first_disjoint(res, self.k, live >> lo & full)
         return tuple(self.families[f][j][1] for j in chosen)
 
-    def start(self, t: int):
-        """DisconnCheck.start, or None when a family no longer holds k
-        disjoint members in it; every family's watched members are picked
-        afresh inside the state."""
-        live = super().start(t)
-        if live is not None:
-            for f in range(len(self.families)):
-                if not self._watch(f, live):
-                    return None
-        return live
-
-    def extend(self, i: int, prefix, live: int):
-        """State after coloring edge i, or None when some family no longer
-        holds k disjoint live members."""
-        if self.pattern is _CONFLICT_FREE:
-            dead = _unfit_conflict_free(self.rows[i], prefix)
-        else:
-            c = prefix[i]
-            dead = 0
-            for f, mask in self.rows[i]:
-                if prefix[f] == c:
-                    dead |= mask
-            if self.pattern is _MONOCHROMATIC:
-                dead = self.touch[i] & ~dead
-        live &= ~dead
+    def _lose(self, live: int, dead: int):
+        """live, or None when a family no longer holds k disjoint members in
+        it: only the families that lost a watched member to dead are
+        re-picked, inside live."""
         hit = dead & self.watched_all  # the watched members that died
         while hit:
             f = self.owner[hit.bit_length() - 1]

@@ -236,6 +236,19 @@ def test_verify_record_rejects_boolean_vertex(run_cli):
     assert ver.stdout == ""
 
 
+def test_verify_record_rejects_a_pair_with_side_and_paths(run_cli):
+    # the side alone was checked and the paths, through vertices Bw lacks,
+    # were dropped
+    data = json.loads(run_cli(["compute", "--graph", "Bw", "--pattern",
+                               "rainbow", "--task", "disconnect"]).stdout)
+    data["certificate"]["pairs"][0]["paths"] = [[5, 6, 7]]
+    ver = run_cli(["verify", "--format", "text"],
+                  stdin=json.dumps(data) + "\n")
+    assert ver.returncode == 1
+    assert "bad record" in ver.stderr
+    assert ver.stdout == ""
+
+
 @pytest.mark.parametrize("stdin", [f"{P3}\n{K3}\n", ""],
                          ids=["two-lines", "empty"])
 def test_verify_flag_combination_fails_once(run_cli, stdin):

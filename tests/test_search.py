@@ -149,6 +149,24 @@ def test_k2_walk_accepts_exactly_the_k_connected_strings(mode):
                 assert _accepted(g.m, t, checker) == want
 
 
+@pytest.mark.parametrize("mode", ("edge", "vertex"))
+def test_one_k2_table_serves_every_band_in_either_scan_order(mode):
+    # start re-picks only the watched sets that its band clears, so the
+    # sets left from the bands walked before, up or down, must still do
+    for g in SMALL:
+        try:
+            _check_k_connected(g, 2, mode)
+        except ValueError:
+            continue
+        bands = list(range(1, g.m + 1))
+        for pattern in PATH_PATTERNS:
+            checker = _connection_checks(g, pattern, 2, mode)[1]
+            for t in bands + bands[::-1] + bands:
+                fresh = _connection_checks(g, pattern, 2, mode)[1]
+                assert _accepted(g.m, t, checker) == _accepted(
+                    g.m, t, fresh), (g, pattern, t)
+
+
 def test_adjacent_checker_accepts_exactly_the_proper_rainbow_strings():
     for g in SMALL:
         paths = _pair_paths(g.n, g.edges)

@@ -74,6 +74,8 @@ def test_certificate_from_dict_rejects_garbage():
         lambda d: d.update(pairs=3),
         lambda d: d["pairs"].append({"u": 0}),
         lambda d: d["pairs"][0].update(paths="nope"),
+        # a pair with both witness forms was parsed as its side alone
+        lambda d: d["pairs"][0].update(side=[0]),
         lambda d: d.update(k="two"),
         lambda d: d.update(mode="diagonal"),
     ):
