@@ -39,8 +39,8 @@ from .solve import (
     result_to_dict,
 )
 from .verify import (
-    CUT_PATTERNS,
     PROPER_RAINBOW,
+    _check_pattern,
     certificate_from_dict,
     is_pattern_connected,
     is_pattern_disconnected,
@@ -137,9 +137,7 @@ def _resolve(args) -> _Query:
         pattern = Pattern.from_name(key)
         objective = pattern.objective
         if args.task == "disconnect":
-            if pattern not in CUT_PATTERNS:
-                raise ValueError(
-                    f"pattern {key} has no disconnection variant")
+            _check_pattern(pattern, cut=True)
             solve = partial(disconnection_number, pattern=pattern)
             certify = partial(is_pattern_disconnected, pattern=pattern)
         else:

@@ -276,67 +276,7 @@ def _extend_paths(adj, v: int, visited: int, verts, edges, out, fits,
 
 
 # ---------------------------------------------------------------------------
-# disjoint paths (unit-capacity max flow)
-
-def _max_flow_unit(num_nodes: int, arcs, s: int, t: int):
-    """Edmonds-Karp on unit/small integer capacities.
-
-    arcs: dict (a, b) -> capacity.  Returns (value, flow dict).
-    """
-    cap = dict(arcs)
-    out = {}
-    for (a, b) in cap:
-        out.setdefault(a, set()).add(b)
-        out.setdefault(b, set()).add(a)  # residual arcs
-    nbr = {x: sorted(ys) for x, ys in out.items()}
-    flow = {}
-    value = 0
-    while True:
-        parent = {s: None}
-        q = deque([s])
-        while q and t not in parent:
-            x = q.popleft()
-            for y in nbr.get(x, ()):
-                if y not in parent and cap.get((x, y), 0) > 0:
-                    parent[y] = x
-                    q.append(y)
-        if t not in parent:
-            return value, flow
-        y = t
-        while parent[y] is not None:
-            x = parent[y]
-            cap[(x, y)] = cap.get((x, y), 0) - 1
-            cap[(y, x)] = cap.get((y, x), 0) + 1
-            flow[(x, y)] = flow.get((x, y), 0) + 1
-            y = x
-        value += 1
-
-
-def _decompose_unit_paths(value: int, used, s: int, t: int):
-    """Split a set of unit-flow arcs into `value` arc-disjoint s-t node walks,
-    dropping flow cycles, and return them as vertex sequences."""
-    succ = {}
-    for (a, b) in sorted(used):
-        succ.setdefault(a, deque()).append(b)
-    paths = []
-    for _ in range(value):
-        walk = [s]
-        pos = {s: 0}
-        x = s
-        while x != t:
-            y = succ[x].popleft()
-            if y in pos:
-                # flow cycle: drop the loop just traversed
-                walk = walk[: pos[y] + 1]
-                pos = {v: i for i, v in enumerate(walk)}
-                x = y
-                continue
-            walk.append(y)
-            pos[y] = len(walk) - 1
-            x = y
-        paths.append(tuple(walk))
-    return paths
-
+# disjoint paths (augmenting paths on unit arcs)
 
 def max_disjoint_paths(graph: Graph, u: int, v: int, mode: str = "edge"):
     """Maximum number of pairwise edge-disjoint (mode='edge') or internally
@@ -344,6 +284,22 @@ def max_disjoint_paths(graph: Graph, u: int, v: int, mode: str = "edge"):
 
     Returns (count, tuple_of_Paths).  Equals the minimum u-v cut size of the
     corresponding kind (max-flow/min-cut).
+
+    The network has unit arcs only.  Edge mode: a->b and b->a per edge,
+    from s = u to t = v.  Vertex mode: vertex w splits into 2w -> 2w+1, and
+    edge ab gives 2a+1 -> 2b and 2b+1 -> 2a, from s = 2u+1 to t = 2v, so
+    each vertex passes one unit; u's and v's split arcs carry none, as no
+    augmenting path enters s or leaves t.  A breadth-first search finds
+    each augmenting path (neighbours in ascending order).  It may step x ->
+    y over a flow arc y -> x, which it cancels, or over a free arc x -> y,
+    which it fills, and it cancels first: so while a -> b carries flow,
+    b -> a is only cancelled against it, never filled, and no edge carries
+    two units.  Each augmenting path leaves s once and never returns to it,
+    so the flow arcs hold count arc-disjoint s-t walks, one per flow arc
+    out of s.  They are peeled off from s in sorted arc order, and every
+    flow cycle met on the way is dropped.  A split walk reads
+    2u+1, 2x1, 2x1+1, ..., 2v: its even positions halve to u and the
+    interior vertices, and v is appended.
     """
     if mode not in ("edge", "vertex"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -352,48 +308,54 @@ def max_disjoint_paths(graph: Graph, u: int, v: int, mode: str = "edge"):
     if u == v:
         raise ValueError("endpoints must differ")
     if mode == "edge":
-        arcs = {}
-        for (a, b) in graph.edges:
-            arcs[(a, b)] = 1
-            arcs[(b, a)] = 1
-        value, flow = _max_flow_unit(graph.n, arcs, u, v)
-        used = set()
-        for (a, b) in graph.edges:
-            net = flow.get((a, b), 0) - flow.get((b, a), 0)
-            if net > 0:
-                used.add((a, b))
-            elif net < 0:
-                used.add((b, a))
-        walks = _decompose_unit_paths(value, used, u, v)
+        s, t = u, v
+        arcs = [arc for a, b in graph.edges for arc in ((a, b), (b, a))]
     else:
-        # split every internal vertex w into in-node 2w and out-node 2w+1
-        def node_in(w):
-            return 2 * w
-
-        def node_out(w):
-            return 2 * w + 1
-
-        arcs = {}
-        for w in range(graph.n):
-            arcs[(node_in(w), node_out(w))] = 1 if w not in (u, v) else graph.n
-        for (a, b) in graph.edges:
-            arcs[(node_out(a), node_in(b))] = 1
-            arcs[(node_out(b), node_in(a))] = 1
-        value, flow = _max_flow_unit(2 * graph.n, arcs, node_out(u), node_in(v))
-        used = set()
-        for (a, b), f in flow.items():
-            back = flow.get((b, a), 0)
-            if f - back > 0:
-                used.add((a, b))
-        walks = _decompose_unit_paths(value, used, node_out(u), node_in(v))
-        # a split walk reads out(u), in(x1), out(x1), ..., in(v); the even
-        # positions give u and the internal vertices, and v is re-appended
-        walks = [tuple(x // 2 for x in w[0::2]) + (v,) for w in walks]
-    paths = tuple(
-        sorted((Path.from_vertices(graph, w) for w in walks),
-               key=lambda p: p.vertices)
-    )
-    return value, paths
+        s, t = 2 * u + 1, 2 * v
+        arcs = [(2 * w, 2 * w + 1) for w in range(graph.n)]
+        arcs += [arc for a, b in graph.edges
+                 for arc in ((2 * a + 1, 2 * b), (2 * b + 1, 2 * a))]
+    nbr = {}
+    for a, b in arcs:
+        nbr.setdefault(a, set()).add(b)
+        nbr.setdefault(b, set()).add(a)
+    nbr = {x: sorted(ys) for x, ys in nbr.items()}
+    free, flow = set(arcs), set()
+    while True:
+        parent = {s: None}
+        q = deque([s])
+        while q and t not in parent:
+            x = q.popleft()
+            for y in nbr.get(x, ()):
+                if y not in parent and ((y, x) in flow or (x, y) in free):
+                    parent[y] = x
+                    q.append(y)
+        if t not in parent:
+            break
+        y = t
+        while parent[y] is not None:
+            x = parent[y]
+            arc = (y, x) if (y, x) in flow else (x, y)  # cancel first
+            flow ^= {arc}
+            free ^= {arc}
+            y = x
+    succ = {}
+    for a, b in sorted(flow):
+        succ.setdefault(a, deque()).append(b)
+    walks = []
+    while succ.get(s):  # one flow arc leaves s per augmenting path
+        walk = [s]
+        while walk[-1] != t:
+            y = succ[walk[-1]].popleft()
+            if y in walk:
+                del walk[walk.index(y) + 1:]  # a flow cycle: drop it
+            else:
+                walk.append(y)
+        walks.append(walk if mode == "edge"
+                     else [x // 2 for x in walk[0::2]] + [v])
+    paths = sorted((Path.from_vertices(graph, w) for w in walks),
+                   key=lambda p: p.vertices)
+    return len(paths), tuple(paths)
 
 
 # ---------------------------------------------------------------------------

@@ -50,10 +50,10 @@ from .verify import (
     PROPER_RAINBOW,
     Certificate,
     ConnCheck,
-    CUT_PATTERNS,
     DisconnCheck,
     KConnCheck,
     _check_k_connected,
+    _check_pattern,
     certificate_to_dict,
 )
 
@@ -111,6 +111,7 @@ def bounds(graph: Graph, pattern: Pattern, k: int = 1,
     infeasible, and a scan from there finds the same lex-first coloring.
     At k >= 2 the lemma is not proven, and the upper bound stays m.
     """
+    _check_pattern(pattern)
     if not is_connected(graph):
         raise ValueError("connection numbers require a connected graph")
     _check_k_connected(graph, k, mode)
@@ -285,8 +286,6 @@ def connection_number(graph: Graph, pattern: Pattern, k: int = 1,
     Requires a connected graph supporting k disjoint paths per pair in the
     given mode.  A graph of at most one vertex has no pairs, value 0.
     """
-    if not isinstance(pattern, Pattern):
-        raise ValueError("pattern must be a Pattern")
     b = bounds(graph, pattern, k, mode)
     objective = pattern.objective
     kind = "connection" if k == 1 else "k_connection"
@@ -342,8 +341,7 @@ def disconnection_number(graph: Graph, pattern: Pattern,
     md is additive over blocks on every graph of order <= 7, but solving
     blocks apart would change which coloring is lex-first.
     """
-    if pattern not in CUT_PATTERNS:
-        raise ValueError(f"pattern {pattern.value} has no disconnection variant")
+    _check_pattern(pattern, cut=True)
     if not is_connected(graph):
         raise ValueError("disconnection numbers require a connected graph")
     objective = pattern.objective
@@ -413,8 +411,7 @@ def count_colorings(graph: Graph, pattern: Pattern, t: int,
         raise ValueError(f"unknown property {prop!r}")
     if not is_connected(graph):
         raise ValueError("counting requires a connected graph")
-    if prop == "disconnected" and pattern not in CUT_PATTERNS:
-        raise ValueError(f"pattern {pattern.value} has no disconnection variant")
+    _check_pattern(pattern, cut=prop == "disconnected")
     m = graph.m
     if m == 0:
         return 1  # the empty coloring; both properties hold vacuously

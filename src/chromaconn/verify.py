@@ -730,17 +730,22 @@ class DisjointCheck(DisconnCheck):
                 raise ValueError(f"pair {self.pairs[f]} has no {k} "
                                  f"disjoint paths")
 
+    def _first(self, f: int, live: int):
+        """Positions in family f of its first k disjoint live members, or
+        None if there are none."""
+        lo, full, res = self.members[f]
+        return _first_disjoint(res, self.k, live >> lo & full)
+
     def _watch(self, f: int, live: int) -> bool:
         """Watch the first k disjoint live members of family f; False if
         there are none."""
-        lo, full, res = self.members[f]
-        chosen = _first_disjoint(res, self.k, live >> lo & full)
+        chosen = self._first(f, live)
         if chosen is None:
             return False
         new = 0
         for j in chosen:
             new |= 1 << j
-        new <<= lo
+        new <<= self.members[f][0]
         self.watched_all = self.watched_all & ~self.watched[f] | new
         self.watched[f] = new
         return True
@@ -748,9 +753,7 @@ class DisjointCheck(DisconnCheck):
     def _pick(self, f: int, live: int):
         """The vertex tuples of family f's first k disjoint live members,
         as _watch picks them."""
-        lo, full, res = self.members[f]
-        chosen = _first_disjoint(res, self.k, live >> lo & full)
-        return tuple(self.families[f][j][1] for j in chosen)
+        return tuple(self.families[f][j][1] for j in self._first(f, live))
 
     def _lose(self, live: int, dead: int):
         """live, or None when a family no longer holds k disjoint members in
@@ -776,6 +779,17 @@ def _require_connected(graph: Graph):
 def _check_coloring(graph: Graph, coloring: EdgeColoring):
     if len(coloring.colors) != graph.m:
         raise ValueError("coloring length differs from edge count")
+
+
+def _check_pattern(pattern, cut: bool = False):
+    """ValueError unless pattern is a Pattern, and, with cut, one with a
+    cut form.  The rule tests compare patterns by identity and fall
+    through to the rainbow rule, so a name passed as a string would
+    otherwise be read as rainbow."""
+    if not isinstance(pattern, Pattern):
+        raise ValueError("pattern must be a Pattern")
+    if cut and pattern not in CUT_PATTERNS:
+        raise ValueError(f"pattern {pattern.value} has no disconnection variant")
 
 
 def _check_k_connected(graph: Graph, k: int, mode: str):
@@ -828,6 +842,7 @@ def is_pattern_k_connected(graph: Graph, coloring: EdgeColoring,
     (checked with max_disjoint_paths).  With k=1 the answer coincides with
     is_pattern_connected.
     """
+    _check_pattern(pattern)
     _require_connected(graph)
     _check_coloring(graph, coloring)
     _check_k_connected(graph, k, mode)
@@ -845,8 +860,7 @@ def is_pattern_disconnected(graph: Graph, coloring: EdgeColoring,
     Defined for rainbow, proper and monochromatic cut patterns; a cut is
     proper when no two of its edges sharing an endpoint get equal colors.
     """
-    if pattern not in CUT_PATTERNS:
-        raise ValueError(f"pattern {pattern.value} has no disconnection variant")
+    _check_pattern(pattern, cut=True)
     _require_connected(graph)
     _check_coloring(graph, coloring)
     wit = DisconnCheck(graph, pattern).witnesses(coloring.colors)

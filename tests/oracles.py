@@ -199,6 +199,38 @@ def bipartition_min_cut(n, edges, u, v):
     return best
 
 
+def min_vertex_separator(n, edges, u, v):
+    """The most internally vertex-disjoint u-v paths, by Menger's theorem:
+    the fewest vertices other than u and v whose removal separates them,
+    by a scan of vertex sets in size order.  An edge uv is a path that no
+    removal breaks, so it counts 1 and is deleted first."""
+    rest = [e for e in edges if set(e) != {u, v}]
+    if len(rest) < len(edges):
+        return 1 + min_vertex_separator(n, rest, u, v)
+    others = [w for w in range(n) if w not in (u, v)]
+    for size in range(len(others) + 1):
+        for removed in combinations(others, size):
+            kept = [e for e in edges if not set(e) & set(removed)]
+            if separates(n, kept, (), u, v):
+                return size
+
+
+def is_disjoint_family(edges, u, v, paths, mode):
+    """Whether paths, vertex tuples, are distinct simple u-v paths along
+    edges that pairwise share no edge (mode "edge") or no interior vertex
+    (mode "vertex")."""
+    index = {tuple(sorted(e)): i for i, e in enumerate(edges)}
+    walks = []
+    for p in paths:
+        if p[0] != u or p[-1] != v or len(set(p)) != len(p):
+            return False
+        steps = [tuple(sorted(step)) for step in zip(p, p[1:])]
+        if not all(step in index for step in steps):
+            return False
+        walks.append(tuple(index[step] for step in steps))
+    return len(set(paths)) == len(paths) and _disjoint(edges, walks, mode)
+
+
 def is_two_edge_connected(n, edges):
     """Connected, at least two vertices, and no single edge disconnects it."""
     if n < 2 or not is_connected(n, edges):

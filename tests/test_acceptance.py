@@ -23,9 +23,11 @@ import chromaconn as cc
 from oracles import (
     bipartition_min_cut,
     count_proper_vertex_colorings,
+    is_disjoint_family,
     is_two_edge_connected,
     literal_connection_number,
     literal_disconnection_number,
+    min_vertex_separator,
     oracle_connection_number,
     oracle_disconnection_number,
 )
@@ -99,21 +101,29 @@ def test_disconnection_numbers_match_brute_force():
 
 
 def test_disjoint_paths_match_min_cuts():
-    """Maximum edge-disjoint path count equals minimum bipartition cut size
-    for every vertex pair of every connected graph with at most six
-    vertices."""
+    """For every vertex pair of every connected graph with at most six
+    vertices, the maximum edge-disjoint path count equals the minimum
+    bipartition cut size, and the maximum internally vertex-disjoint count
+    the minimum vertex separator (Menger).  Each returned family is that
+    many distinct simple u-v paths, disjoint in its mode."""
+    min_cut = {"edge": bipartition_min_cut, "vertex": min_vertex_separator}
     mismatches = []
     pairs = 0
     for g in _census(6):
         for u in range(g.n):
             for v in range(u + 1, g.n):
-                have, _ = cc.max_disjoint_paths(g, u, v, "edge")
-                want = bipartition_min_cut(g.n, g.edges, u, v)
                 pairs += 1
-                if have != want:
-                    mismatches.append((cc.write_graph6(g), u, v, have, want))
+                for mode, oracle in min_cut.items():
+                    have, paths = cc.max_disjoint_paths(g, u, v, mode)
+                    want = oracle(g.n, g.edges, u, v)
+                    family = [p.vertices for p in paths]
+                    if have != want or len(family) != have or \
+                            not is_disjoint_family(g.edges, u, v, family,
+                                                   mode):
+                        mismatches.append((cc.write_graph6(g), u, v, mode,
+                                           have, want, family))
     _report(
-        "edge-disjoint paths vs minimum cuts",
+        "disjoint paths vs minimum cuts, both modes",
         pairs == 1933 and not mismatches,
         f"{pairs} pairs, {len(mismatches)} mismatches",
     )

@@ -41,7 +41,7 @@ from chromaconn.graph import (
     uv_bipartitions,
 )
 from chromaconn import graph as graph_module
-from oracles import canonical_key
+from oracles import canonical_key, is_disjoint_family
 
 
 def graph_strategy(max_n=7):
@@ -151,19 +151,8 @@ def _check_disjoint_paths(g, u, v, mode, expected):
     count, paths = max_disjoint_paths(g, u, v, mode)
     assert count == expected
     assert len(paths) == count
-    used_edges = []
-    used_internal = []
-    for p in paths:
-        assert p.vertices[0] == u and p.vertices[-1] == v
-        assert len(set(p.vertices)) == len(p.vertices)
-        for a, b in zip(p.vertices, p.vertices[1:]):
-            assert g.has_edge(a, b)
-        used_edges.extend(p.edges)
-        used_internal.extend(p.vertices[1:-1])
-    if mode == "edge":
-        assert len(set(used_edges)) == len(used_edges)
-    else:
-        assert len(set(used_internal)) == len(used_internal)
+    assert is_disjoint_family(g.edges, u, v, [p.vertices for p in paths],
+                              mode)
 
 
 def test_max_disjoint_paths_values():

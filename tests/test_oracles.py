@@ -8,10 +8,12 @@ from oracles import (
     bipartition_min_cut,
     count_proper_vertex_colorings,
     cut_satisfies,
+    is_disjoint_family,
     is_two_edge_connected,
     is_two_vertex_connected,
     literal_connection_number,
     literal_disconnection_number,
+    min_vertex_separator,
     minimal_separating_sets,
     oracle_connection_number,
     oracle_disconnection_number,
@@ -118,6 +120,32 @@ def test_bipartition_min_cut_values():
     assert bipartition_min_cut(*P3, 0, 2) == 1
     assert bipartition_min_cut(*C4, 0, 2) == 2
     assert bipartition_min_cut(*K4, 0, 1) == 3
+
+
+def test_min_vertex_separator_values():
+    assert min_vertex_separator(*P3, 0, 2) == 1
+    assert min_vertex_separator(*C4, 0, 2) == 2
+    assert min_vertex_separator(*K4, 0, 1) == 3
+    # two triangles sharing vertex 2: two edge-disjoint 0-4 paths, one
+    # vertex-disjoint
+    bowtie = (5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+    assert bipartition_min_cut(*bowtie, 0, 4) == 2
+    assert min_vertex_separator(*bowtie, 0, 4) == 1
+    assert min_vertex_separator(4, [(0, 1), (2, 3)], 0, 3) == 0
+
+
+def test_is_disjoint_family():
+    edges = C4[1]
+    assert is_disjoint_family(edges, 0, 2, [(0, 1, 2), (0, 3, 2)], "vertex")
+    assert is_disjoint_family(edges, 0, 2, [(0, 1, 2), (0, 3, 2)], "edge")
+    assert not is_disjoint_family(edges, 0, 2, [(0, 1, 2), (0, 1, 2)], "edge")
+    assert not is_disjoint_family(edges, 0, 2, [(0, 2)], "edge")  # no edge
+    assert not is_disjoint_family(edges, 0, 2, [(0, 1, 0, 3, 2)], "edge")
+    assert not is_disjoint_family(edges, 0, 2, [(1, 2)], "edge")
+    bowtie = [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)]
+    family = [(0, 1, 2, 4), (0, 2, 3, 4)]
+    assert is_disjoint_family(bowtie, 0, 4, family, "edge")
+    assert not is_disjoint_family(bowtie, 0, 4, family, "vertex")
 
 
 def test_two_edge_connected():

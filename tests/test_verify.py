@@ -10,12 +10,14 @@ from chromaconn import (
     EdgeColoring,
     PairWitness,
     Pattern,
+    bounds,
     build_graph,
     certificate_from_dict,
     certificate_to_dict,
     complete_graph,
     connected_graphs_up_to,
     connection_number,
+    count_colorings,
     cycle_graph,
     disconnection_number,
     is_pattern_connected,
@@ -190,12 +192,43 @@ def test_k_and_mode_checked_in_one_order():
 
 
 def test_conflict_free_has_no_disconnection():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="conflict_free has no disconnection"):
         is_pattern_disconnected(path_graph(3), EdgeColoring((0, 1), 2),
                                 Pattern.CONFLICT_FREE)
+    with pytest.raises(ValueError, match="conflict_free has no disconnection"):
+        disconnection_number(path_graph(3), Pattern.CONFLICT_FREE)
+    with pytest.raises(ValueError, match="conflict_free has no disconnection"):
+        count_colorings(path_graph(3), Pattern.CONFLICT_FREE, 2,
+                        prop="disconnected")
     # the table takes the conflict-free rule only with explicit families
     with pytest.raises(ValueError, match="conflict_free has no cut form"):
         DisconnCheck(path_graph(3), Pattern.CONFLICT_FREE)
+
+
+_K4_COLORING = EdgeColoring((0, 0, 1, 1, 0, 0), 2)
+
+
+@pytest.mark.parametrize("call, proper", [
+    (lambda p: count_colorings(cycle_graph(5), p, 3), 150),
+    (lambda p: count_colorings(cycle_graph(5), p, 3, prop="disconnected"),
+     243),
+    (lambda p: is_pattern_k_connected(complete_graph(4), _K4_COLORING, p, 2)
+     is not None, True),
+    (lambda p: is_pattern_disconnected(complete_graph(4), _K4_COLORING, p)
+     is not None, True),
+    (lambda p: connection_number(cycle_graph(5), p).value, 2),
+    (lambda p: disconnection_number(cycle_graph(5), p).value, 1),
+    (lambda p: bounds(cycle_graph(5), p).upper, 5),
+], ids=["count", "count-disconnected", "k-connected", "disconnected",
+        "connection", "disconnection", "bounds"])
+def test_a_pattern_name_is_refused_not_read_as_rainbow(call, proper):
+    """Every rule test falls through to the rainbow rule, so a name such as
+    "proper" would count C5's 90 rainbow 3-colorings, not its 150 proper
+    ones: each entry point refuses a pattern that is not a Pattern."""
+    assert call(Pattern.PROPER) == proper
+    for name in ("proper", None):
+        with pytest.raises(ValueError, match="pattern must be a Pattern"):
+            call(name)
 
 
 def test_cut_tables_list_exactly_each_pairs_bonds():
